@@ -971,13 +971,14 @@ pub fn bench_metrics(scale: Scale) -> String {
     // Serving drill-down: the same packed network behind the sharded
     // micro-batching pipeline — concurrent pre-packed clients, served
     // classes checked bitwise against the offline packed predictions.
+    // The default zero hold dispatches at once: one client per shard
+    // never fills a batch, so any hold would be all this row measured.
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let shards = host_cpus.min(4);
     let server = sushi_serve::Server::start(
         packed.clone(),
         sushi_serve::ServeConfig::new()
             .max_batch(8)
-            .max_delay(std::time::Duration::from_millis(1))
             .shards(shards)
             .executors(host_cpus),
     );

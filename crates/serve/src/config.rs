@@ -1,5 +1,5 @@
-//! Serving-side configuration: micro-batch trigger, admission bound,
-//! shard topology and executor parallelism.
+//! Serving-side configuration: dispatch hold, admission bound, shard
+//! topology and executor parallelism.
 
 use std::time::Duration;
 use sushi_ssnn::Backend;
@@ -9,12 +9,17 @@ use sushi_ssnn::Backend;
 /// Admitted requests land on one of `shards` admission queues
 /// (round-robin for anonymous handles, connection-affine for socket
 /// clients) and are drained by `executors` executor threads, each owning
-/// persistent inference scratch. An executor dispatches a shard's batch
-/// when *either* trigger fires:
+/// persistent inference scratch. Zero hold (the default) is
+/// work-conserving; a non-zero `max_delay` is an opt-in hold:
 ///
-/// * **size** — `max_batch` requests are waiting on that shard, or
-/// * **deadline** — the shard's oldest waiting request has been queued
-///   for `max_delay`.
+/// * **zero hold** — an executor that finds any request waiting
+///   dispatches at once, taking up to `max_batch`. Batches deepen only
+///   from backlog that builds while every executor is busy, so an idle
+///   server adds no waiting to a request.
+/// * **hold** — a shard's batch waits until *either* `max_batch`
+///   requests are waiting on that shard (size trigger) or its oldest
+///   request has been queued for `max_delay` (deadline trigger), trading
+///   that much latency for deeper batches under light load.
 ///
 /// Executors prefer their home shard but steal whole batches from any
 /// dispatchable shard, so skewed placement cannot strand requests.
@@ -42,10 +47,13 @@ use sushi_ssnn::Backend;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Size trigger: largest batch handed to the engine in one sweep.
+    /// Largest batch handed to the engine in one sweep; under a hold,
+    /// also the size trigger.
     pub max_batch: usize,
-    /// Deadline trigger: longest the oldest admitted request waits before
-    /// its (possibly partial) batch is dispatched anyway.
+    /// Dispatch hold. Zero (the default) is work-conserving: a waiting
+    /// request dispatches as soon as an executor is free. A non-zero
+    /// hold is opt-in: a shard's batch waits until it holds `max_batch`
+    /// requests or its oldest has waited this long.
     pub max_delay: Duration,
     /// Admission bound: requests beyond this many waiting (summed across
     /// all shards) are shed.
@@ -79,7 +87,7 @@ impl Default for ServeConfig {
         let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         Self {
             max_batch: 32,
-            max_delay: Duration::from_millis(2),
+            max_delay: Duration::ZERO,
             queue_capacity: 128,
             shards: cpus.min(4),
             executors: cpus,
@@ -90,7 +98,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The default configuration (batch 32, 2 ms deadline, capacity 128,
+    /// The default configuration (batch 32, zero hold, capacity 128,
     /// `min(4, CPUs)` shards, one executor per CPU, bitplane backend from
     /// 8 coalesced requests).
     pub fn new() -> Self {
@@ -103,7 +111,8 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the deadline trigger.
+    /// Sets the dispatch hold: zero is work-conserving, a non-zero
+    /// value holds each shard's batch for the size or deadline trigger.
     pub fn max_delay(mut self, max_delay: Duration) -> Self {
         self.max_delay = max_delay;
         self
@@ -177,6 +186,7 @@ mod tests {
     #[test]
     fn bitplane_backend_is_the_default() {
         let cfg = ServeConfig::new();
+        assert_eq!(cfg.max_delay, Duration::ZERO);
         assert_eq!(cfg.backend, Backend::Bitplane);
         assert_eq!(cfg.bitplane_min_batch, 8);
         assert!(cfg.shards >= 1 && cfg.shards <= 4);

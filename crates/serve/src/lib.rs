@@ -16,9 +16,12 @@
 //!   request.
 //! * **Dynamic micro-batching, sharded** — admission lands on one of
 //!   `shards` independent queues drained by `executors` threads with
-//!   long-lived scratch. A batch dispatches when either `max_batch`
-//!   requests wait on a shard (size trigger) or its oldest has waited
-//!   `max_delay` (deadline trigger); executors steal ripe batches from
+//!   long-lived scratch. Zero hold (the default) is work-conserving: a
+//!   free executor dispatches whatever is waiting at once, up to
+//!   `max_batch`, so batches deepen only from backlog. A non-zero
+//!   `max_delay` is an opt-in hold: a shard's batch waits until
+//!   `max_batch` requests wait (size trigger) or its oldest has waited
+//!   `max_delay` (deadline trigger). Executors steal ripe batches from
 //!   sibling shards. Served predictions are bitwise identical to
 //!   offline [`sushi_ssnn::PackedSnn::predict_batch`] for every shard
 //!   and executor count.

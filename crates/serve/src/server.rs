@@ -7,9 +7,12 @@
 //! [`PackedRequest`] — bit-packed `u64` spike words, the engine's native
 //! representation — from the edge to the engine with no bool detour.
 //! Admission lands on one of N shards (own mutex each) and M executor
-//! threads drain them in micro-batches triggered by size (`max_batch`
-//! waiting on a shard) or deadline (oldest request waited `max_delay`),
-//! stealing from sibling shards when their own is quiet. Batches run
+//! threads drain them in micro-batches, stealing from sibling shards
+//! when their own is quiet. Zero hold (the default) is work-conserving:
+//! a free executor dispatches whatever waits at once, up to
+//! `max_batch`. A non-zero `max_delay` is an opt-in hold: a shard's
+//! batch waits for the size trigger (`max_batch` waiting) or the
+//! deadline trigger (oldest request waited `max_delay`). Batches run
 //! through the packed/bitplane engines, so served predictions are
 //! bitwise identical to offline batch inference for every shard and
 //! executor count.
@@ -545,16 +548,23 @@ fn run_batch(shared: &Shared, ctx: &mut ExecCtx) {
 }
 
 /// One executor thread: scan the shards (home first), dispatch the
-/// first batch whose size or deadline trigger fired (or anything at all
-/// during shutdown drain), steal across shards when home is quiet, and
-/// sleep on the signal condvar — bounded by the nearest pending
-/// deadline — when nothing is dispatchable.
+/// first ripe batch, steal across shards when home is quiet, and park
+/// on the signal condvar when nothing is dispatchable.
+///
+/// Under zero hold (the default) every waiting request is ripe, so the
+/// executor takes up to `max_batch` at once: work-conserving. Under a
+/// non-zero `max_delay` (an opt-in hold) a shard ripens when
+/// `max_batch` requests wait or its oldest has waited `max_delay`, and
+/// the park is bounded by the nearest pending deadline. During
+/// shutdown drain everything is ripe.
 fn executor_loop(shared: &Shared, home: usize) {
     let mut ctx = ExecCtx::new();
     let shard_count = shared.shards.len();
+    let hold = shared.cfg.max_delay;
     loop {
         let observed = *shared.signal.seq.lock().expect("signal lock poisoned");
         let shutdown = shared.shutdown.load(Ordering::Acquire);
+        let eager = hold.is_zero() || shutdown;
         let mut nearest_deadline: Option<Instant> = None;
         let mut dispatched = false;
         for i in 0..shard_count {
@@ -562,13 +572,13 @@ fn executor_loop(shared: &Shared, home: usize) {
             let shard = &shared.shards[idx];
             let mut queue = shard.queue.lock().expect("shard poisoned");
             let Some(front) = queue.front() else { continue };
-            let deadline = front.at + shared.cfg.max_delay;
-            let ripe =
-                queue.len() >= shared.cfg.max_batch || shutdown || Instant::now() >= deadline;
-            if !ripe {
-                drop(queue);
-                nearest_deadline = Some(nearest_deadline.map_or(deadline, |d| d.min(deadline)));
-                continue;
+            if !eager && queue.len() < shared.cfg.max_batch {
+                let deadline = front.at + hold;
+                if Instant::now() < deadline {
+                    drop(queue);
+                    nearest_deadline = Some(nearest_deadline.map_or(deadline, |d| d.min(deadline)));
+                    continue;
+                }
             }
             let take = queue.len().min(shared.cfg.max_batch);
             ctx.batch.extend(queue.drain(..take).map(|q| q.slot));
@@ -597,8 +607,9 @@ fn executor_loop(shared: &Shared, home: usize) {
         }
         let timeout = match nearest_deadline {
             Some(d) => d.saturating_duration_since(Instant::now()),
-            // Belt and braces: no deadline pending means we wake on
-            // signal; the cap bounds any missed-wake pathology.
+            // Nothing held (always the case under zero hold): park until
+            // an admission or shutdown signals. The cap only bounds a
+            // missed-wake pathology; an idle executor never polls.
             None => Duration::from_millis(250),
         };
         let seq = shared.signal.seq.lock().expect("signal lock poisoned");

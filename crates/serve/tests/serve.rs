@@ -1,6 +1,7 @@
 //! End-to-end tests of the serving layer: determinism against offline
-//! inference, both micro-batch triggers, backpressure, shutdown drain,
-//! the socket front end and the load generator.
+//! inference, the work-conserving default and both triggers of an
+//! opt-in hold, backpressure, shutdown drain, the socket front end and
+//! the load generator.
 
 use std::time::Duration;
 
@@ -208,6 +209,27 @@ fn deadline_trigger_dispatches_partial_batch() {
     assert_eq!(p.batch_size, 1);
     // Generous bound: the request must not wait for the size trigger.
     assert!(start.elapsed() < Duration::from_secs(30));
+}
+
+#[test]
+fn default_zero_hold_dispatches_a_lone_request_at_once() {
+    let snn = test_net(0x2E50);
+    let images = spike_images(0x2E51, 100, snn.input_width(), 2);
+    // One sequential client never fills a batch, so under a 2 ms hold
+    // each request would wait out the deadline and the loop would take
+    // at least the 200 ms bound below.
+    let server = Server::start(snn, ServeConfig::new().shards(1).executors(1));
+    let handle = server.handle();
+    let start = std::time::Instant::now();
+    for img in &images {
+        let p = handle.predict(img.clone()).expect("serve ok");
+        assert_eq!(p.batch_size, 1);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "100 sequential requests took {elapsed:?}: the default held them"
+    );
 }
 
 #[test]
@@ -454,8 +476,9 @@ mod shard_executor_grid {
     proptest! {
         /// The tentpole invariant: served classes are bitwise identical
         /// to offline `predict_batch` for every shard x executor
-        /// combination, under concurrent clients on both the bool and
-        /// the packed submission path.
+        /// combination, under the default zero hold and an opt-in hold,
+        /// with concurrent clients on both the bool and the packed
+        /// submission path.
         #[test]
         fn served_classes_bitwise_equal_offline_for_all_topologies(
             seed in 1u64..u64::MAX,
@@ -465,47 +488,51 @@ mod shard_executor_grid {
             let width = test_net(seed).input_width();
             let images = spike_images(seed ^ 0x6B1D, count, width, frames);
             let offline = test_net(seed).predict_batch(&images, 1);
-            for &shards in &[1usize, 2, 4] {
-                for &executors in &[1usize, 2, 7] {
-                    let server = Server::start(
-                        test_net(seed),
-                        ServeConfig::new()
-                            .max_batch(4)
-                            .max_delay(Duration::from_micros(100))
-                            .shards(shards)
-                            .executors(executors),
-                    );
-                    let handle = server.handle();
-                    let served: Vec<usize> = std::thread::scope(|scope| {
-                        let clients: Vec<_> = images
-                            .iter()
-                            .enumerate()
-                            .map(|(i, img)| {
-                                let h = handle.clone();
-                                scope.spawn(move || {
-                                    if i % 2 == 0 {
-                                        h.predict(img.clone()).expect("serve ok").class
-                                    } else {
-                                        let mut req = sushi_serve::PackedRequest::from_bool_frames(
-                                            width, img,
-                                        );
-                                        h.predict_packed(&mut req).expect("serve ok").class
-                                    }
+            for hold in [Duration::ZERO, Duration::from_micros(100)] {
+                for &shards in &[1usize, 2, 4] {
+                    for &executors in &[1usize, 2, 7] {
+                        let server = Server::start(
+                            test_net(seed),
+                            ServeConfig::new()
+                                .max_batch(4)
+                                .max_delay(hold)
+                                .shards(shards)
+                                .executors(executors),
+                        );
+                        let handle = server.handle();
+                        let served: Vec<usize> = std::thread::scope(|scope| {
+                            let clients: Vec<_> = images
+                                .iter()
+                                .enumerate()
+                                .map(|(i, img)| {
+                                    let h = handle.clone();
+                                    scope.spawn(move || {
+                                        if i % 2 == 0 {
+                                            h.predict(img.clone()).expect("serve ok").class
+                                        } else {
+                                            let mut req =
+                                                sushi_serve::PackedRequest::from_bool_frames(
+                                                    width, img,
+                                                );
+                                            h.predict_packed(&mut req).expect("serve ok").class
+                                        }
+                                    })
                                 })
-                            })
-                            .collect();
-                        clients
-                            .into_iter()
-                            .map(|c| c.join().expect("client thread"))
-                            .collect()
-                    });
-                    prop_assert_eq!(
-                        &served,
-                        &offline,
-                        "shards {} executors {}",
-                        shards,
-                        executors
-                    );
+                                .collect();
+                            clients
+                                .into_iter()
+                                .map(|c| c.join().expect("client thread"))
+                                .collect()
+                        });
+                        prop_assert_eq!(
+                            &served,
+                            &offline,
+                            "hold {:?} shards {} executors {}",
+                            hold,
+                            shards,
+                            executors
+                        );
+                    }
                 }
             }
         }

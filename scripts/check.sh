@@ -30,6 +30,13 @@ grep -q "serving pipeline (sharded micro-batching)" <<<"$bench_out"
 grep -q "shards .* | executors " <<<"$bench_out"
 grep -q "training kernels" <<<"$bench_out"
 
+echo "==> perfbench build + tests (its own workspace)"
+# The benchmark depends on the crates' public API by path; build and
+# test it here so an API change it relies on fails the gate, not the
+# benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> criterion + serve bench smoke (scripts/bench.sh --smoke)"
 # Also covers BENCH_serve.json assembly: the smoke run executes the
 # serving scenarios at reduced budget and validates the JSON structure.
