@@ -14,7 +14,6 @@ use crate::network::{NetworkKind, NetworkModel};
 use crate::npe::NpeNetlist;
 use crate::resources::{Category, ResourceReport};
 use crate::weight::WeightNetlist;
-use serde::{Deserialize, Serialize};
 use sushi_cells::{CellKind, CellLibrary, PortName};
 use sushi_sim::{Netlist, NetlistError, PortRef};
 
@@ -37,7 +36,7 @@ const CTRL_REPEATER_PITCH_MM: f64 = 0.22;
 const INTRA_SC_JTLS: u64 = 10;
 
 /// Weight-structure provisioning of a chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightConfig {
     /// No weight structures (the fabricated/evaluated configurations).
     None,
@@ -79,7 +78,7 @@ impl WeightConfig {
 /// let jj = chip.resources().total_jj();
 /// assert!(jj > 90_000 && jj < 115_000, "jj = {jj}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     n: usize,
     sc_per_npe: usize,

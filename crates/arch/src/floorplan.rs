@@ -5,7 +5,6 @@
 //! fixed tile pitch. Input row buses run horizontally, output column buses
 //! vertically; control lines run from each NPE to the nearest chip edge.
 
-use serde::{Deserialize, Serialize};
 use sushi_cells::RoutingParams;
 
 /// Geometric floorplan of an `n x n` mesh.
@@ -20,7 +19,7 @@ use sushi_cells::RoutingParams;
 /// assert!(fp.chip_side_mm() > 0.0);
 /// assert_eq!(fp.crossing_count(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Floorplan {
     n: usize,
     pitch_mm: f64,

@@ -7,12 +7,11 @@
 //!   switch at every crossing, supporting arbitrary connections and
 //!   per-pair weights at the cost of `n^2` crossings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use sushi_cells::{CellKind, CellLibrary};
 
 /// The two on-chip network structures of Fig. 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {
     /// SPL/CB distribution-and-collection trees (Fig. 11(a)).
     Tree,
@@ -43,7 +42,7 @@ impl fmt::Display for NetworkKind {
 /// assert!(!tree.supports_arbitrary_topology());
 /// assert_eq!(tree.crossing_count(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkModel {
     kind: NetworkKind,
     n: usize,

@@ -18,7 +18,6 @@
 //!   inference (accumulate within a time step, fire, reset to zero).
 
 use crate::state_controller::{ScBehavior, ScNetlist, ScPorts};
-use serde::{Deserialize, Serialize};
 use sushi_cells::Ps;
 use sushi_sim::{Netlist, NetlistError, PortRef};
 
@@ -37,7 +36,7 @@ const INTER_SC_DELAY_PS: Ps = 10.0;
 /// let fired: Vec<bool> = (0..5).map(|_| npe.pulse_in()).collect();
 /// assert_eq!(fired, vec![false, false, false, false, true]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NpeChain {
     scs: Vec<ScBehavior>,
 }
@@ -224,7 +223,7 @@ impl NpeNetlist {
 }
 
 /// Phase of the biological neuron model (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BioPhase {
     /// Below-threshold state `b_t` (t accumulated spikes).
     Below(u32),
@@ -253,7 +252,7 @@ pub enum BioPhase {
 /// let spikes: Vec<bool> = (0..4).map(|_| n.on_time()).collect();
 /// assert_eq!(spikes.iter().filter(|s| **s).count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BioNeuron {
     threshold: u32,
     rising: u32,
@@ -347,7 +346,7 @@ impl BioNeuron {
 /// The hardware realisation is a bounded counter ([`NpeChain`]), so the
 /// model tracks the excursion range and flags overflow — the failure mode
 /// that the synapse bucketing/reordering algorithm exists to prevent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SsnnNeuron {
     potential: i64,
     threshold: i64,

@@ -10,7 +10,6 @@
 //! 53% of the total in the 16x16 design, while only about 6% in the 1x1".
 
 use crate::chip::ChipDesign;
-use serde::{Deserialize, Serialize};
 use sushi_cells::{CellKind, Ps};
 
 /// Cells traversed by one synaptic pulse from pad to neuron state flip.
@@ -52,7 +51,7 @@ pub const SLICE_UTILIZATION: f64 = 0.765;
 pub const SLICE_TRANSITION_EFFICIENCY: f64 = 0.79;
 
 /// A per-configuration performance/power breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfPoint {
     /// Mesh dimension.
     pub n: usize,

@@ -1,13 +1,12 @@
 //! Resource accounting: Josephson junctions and area, split into logic vs
 //! wiring (the paper's Table 2 and Fig. 13).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use sushi_cells::params::AREA_UM2_PER_JJ;
 
 /// Resource component categories used in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Category {
     /// NPE state-controller logic.
     Npe,
@@ -59,7 +58,7 @@ impl fmt::Display for Category {
 /// assert_eq!(r.total_jj(), 1000);
 /// assert!((r.wiring_fraction() - 0.2).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceReport {
     logic: BTreeMap<Category, u64>,
     wiring: BTreeMap<Category, u64>,

@@ -16,12 +16,11 @@
 //! the fast behavioural model. The `cell_vs_behavioral` integration test
 //! checks they agree under random stimulus.
 
-use serde::{Deserialize, Serialize};
 use sushi_cells::{CellKind, PortName, Ps};
 use sushi_sim::{CellId, Netlist, NetlistError, PortRef};
 
 /// Output gating configuration of one SC (which NDRO is set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScMode {
     /// Neither NDRO set: flips never emit (the chain is broken here).
     #[default]
@@ -45,7 +44,7 @@ pub enum ScMode {
 /// assert!(sc.pulse_in()); // 1 -> 0: emits
 /// assert_eq!(sc.mode(), ScMode::EmitOnFall);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScBehavior {
     state: bool,
     mode: ScMode,

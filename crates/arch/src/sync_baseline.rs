@@ -21,7 +21,6 @@
 //! SUSHI's asynchronous design.
 
 use crate::resources::{Category, ResourceReport};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use sushi_cells::{CellKind, CellLibrary, PortName, Ps};
 use sushi_sim::{Netlist, NetlistError, PortRef};
@@ -126,7 +125,7 @@ impl ShiftRegister {
 /// assert_eq!(sr.clock(), false);
 /// assert_eq!(sr.clock(), true);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShiftRegisterModel {
     stages: VecDeque<bool>,
 }
@@ -197,7 +196,7 @@ impl ShiftRegisterModel {
 /// // SuperNPU sustained only ~16% of peak.
 /// assert!((acc.sustained_utilization() - 0.16).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncAccelerator {
     /// Number of processing elements (bit-serial MACs).
     pub pe_count: usize,

@@ -7,7 +7,6 @@
 //! Weight *polarity* is applied separately at the neuron through its
 //! set0/set1 channels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use sushi_cells::timing::SAFE_INTERVAL_PS;
 use sushi_cells::{CellKind, CellLibrary, PortName, Ps};
@@ -24,7 +23,7 @@ use sushi_sim::{Netlist, NetlistError, PortRef};
 /// w.configure(3).unwrap();
 /// assert_eq!(w.amplify(2), 6); // each input pulse becomes 3 pulses
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightStructure {
     max_gain: u32,
     gain: u32,

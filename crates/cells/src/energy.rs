@@ -7,7 +7,6 @@
 //! cooling multiplier for completeness.
 
 use crate::CellLibrary;
-use serde::{Deserialize, Serialize};
 
 /// Carnot-limited specific power of a 4.2 K cryocooler relative to the
 /// dissipated chip power (W of wall power per W at 4.2 K). Real systems are
@@ -25,7 +24,7 @@ pub const COOLING_OVERHEAD_FACTOR: f64 = 1000.0;
 /// let p = PowerModel::new(&lib).estimate(100_000, 1.0e12, 50.0);
 /// assert!(p.total_mw() > p.dynamic_mw);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEstimate {
     /// Static bias power in mW (including fixed chip overhead).
     pub static_mw: f64,

@@ -5,7 +5,6 @@
 //! one input out to two or three outputs, and confluence buffers merge two or
 //! three inputs into one output.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The RSFQ standard-cell kinds used by SUSHI.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(CellKind::Spl2.outputs().len(), 2);
 /// assert!(CellKind::Ndro.inputs().contains(&PortName::Rst));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellKind {
     /// Josephson transmission line: one active repeater stage of wiring.
     Jtl,
@@ -143,7 +142,7 @@ impl fmt::Display for CellKind {
 }
 
 /// Direction of a cell port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDir {
     /// Pulses flow into the cell through this port.
     Input,
@@ -159,7 +158,7 @@ pub enum PortDir {
 /// use sushi_cells::PortName;
 /// assert_eq!(PortName::Din.to_string(), "din");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PortName {
     /// Data input.
     Din,

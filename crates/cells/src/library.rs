@@ -2,12 +2,11 @@
 
 use crate::params::{FIXED_CHIP_POWER_MW, SWITCH_AJ_PER_JJ};
 use crate::{CellKind, CellParams, ConstraintTable, Ps};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Chip-level routing constants used by the architecture generator's
 /// floorplan/wiring model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingParams {
     /// Span of one JTL repeater stage along a route, in µm. The number of
     /// wiring JTLs on a route of length L is `ceil(L / jtl_pitch_um)`.
@@ -69,7 +68,7 @@ impl Default for RoutingParams {
 /// let total_jj = lib.params(CellKind::Ndro).jj_count + lib.params(CellKind::Tffl).jj_count;
 /// assert!(total_jj > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     name: String,
     params: BTreeMap<CellKind, CellParams>,

@@ -7,7 +7,6 @@
 //! Table 4) are reproduced by the architecture generator. See DESIGN.md.
 
 use crate::{CellKind, Ps};
-use serde::{Deserialize, Serialize};
 
 /// Resource and electrical parameters of one standard cell.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(jtl.jj_count, 2);
 /// assert!(jtl.delay_ps > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellParams {
     /// Number of Josephson junctions in the cell.
     pub jj_count: u32,

@@ -8,7 +8,6 @@
 //! streams that respect them).
 
 use crate::{CellKind, PortName, Ps};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One minimum-separation rule: a pulse on `second` must arrive at least
@@ -16,7 +15,7 @@ use std::fmt;
 ///
 /// A rule with `first == second` is a minimum inter-pulse interval on a
 /// single port (e.g. `din-din 19.9` for a JTL).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraint {
     /// The earlier pulse's port.
     pub first: PortName,
@@ -54,7 +53,7 @@ impl fmt::Display for Constraint {
 /// assert_eq!(t.min_separation(PortName::Din, PortName::Clk), Some(8.53));
 /// assert_eq!(t.min_separation(PortName::Clk, PortName::Rst), None);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ConstraintTable {
     rules: Vec<Constraint>,
     /// Rule indices grouped by the arriving (`second`) port, so the

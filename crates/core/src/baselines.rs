@@ -5,10 +5,8 @@
 //! re-run them. We encode the same published specs, which is what Table 4
 //! and the reference lines in Figs. 19/21 use.
 
-use serde::{Deserialize, Serialize};
-
 /// Published specification of a neuromorphic chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {
     /// Chip name.
     pub name: String,

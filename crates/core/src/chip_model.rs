@@ -8,11 +8,11 @@
 //! slice utilization).
 
 use crate::report::{EvalReport, EvalWorkerMetrics};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use sushi_arch::chip::ChipDesign;
 use sushi_arch::ChipConfig;
 use sushi_arch::PerfModel;
+use sushi_par::fan_out;
 use sushi_sim::EvalOptions;
 use sushi_snn::data::Dataset;
 use sushi_snn::metrics::accuracy;
@@ -21,7 +21,7 @@ use sushi_ssnn::stateless::ExecStats;
 use sushi_ssnn::ChipProgram;
 
 /// Result of one inference on the chip.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InferenceOutcome {
     /// Predicted class.
     pub prediction: usize,
@@ -32,7 +32,7 @@ pub struct InferenceOutcome {
 }
 
 /// Result of evaluating a whole dataset on the chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipEvaluation {
     /// Classification accuracy.
     pub accuracy: f64,
@@ -130,45 +130,16 @@ impl SushiChip {
     ) -> ChipEvaluation {
         self.check_program(program);
         let t0 = Instant::now();
-        let workers = opts.resolve_workers();
-        let chunk = if workers <= 1 || data.len() <= 1 {
-            data.len().max(1)
-        } else {
-            data.len().div_ceil(workers)
-        };
         let mut slots: Vec<Option<InferenceOutcome>> = vec![None; data.len()];
-        // Busy wall seconds per spawned worker.
-        let mut walls: Vec<f64> = Vec::new();
-        let run_chunk = |start: usize, imgs: &[Vec<f32>], out: &mut [Option<InferenceOutcome>]| {
+        // Per worker: samples run and busy wall seconds.
+        let chunks = fan_out(&mut slots, opts.resolve_workers(), 1, |r, out| {
             let w0 = Instant::now();
-            for (off, (img, slot)) in imgs.iter().zip(out.iter_mut()).enumerate() {
-                let sample_id = opts.seed.wrapping_add((start + off) as u64);
+            for ((i, img), slot) in r.clone().zip(&data.images[r.clone()]).zip(out) {
+                let sample_id = opts.seed.wrapping_add(i as u64);
                 *slot = Some(self.run_sample(program, img, sample_id));
             }
-            w0.elapsed().as_secs_f64()
-        };
-        if chunk >= data.len() {
-            walls.push(run_chunk(0, &data.images, &mut slots));
-        } else {
-            let mut wall_slots: Vec<Option<f64>> = vec![None; data.len().div_ceil(chunk)];
-            let run_chunk = &run_chunk;
-            crossbeam::thread::scope(|s| {
-                for (ci, ((imgs, out), wall)) in data
-                    .images
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .zip(wall_slots.iter_mut())
-                    .enumerate()
-                {
-                    s.spawn(move |_| *wall = Some(run_chunk(ci * chunk, imgs, out)));
-                }
-            })
-            .expect("evaluation worker panicked");
-            walls = wall_slots
-                .into_iter()
-                .map(|w| w.expect("every worker recorded its wall time"))
-                .collect();
-        }
+            (r.len(), w0.elapsed().as_secs_f64())
+        });
         let outcomes: Vec<InferenceOutcome> = slots
             .into_iter()
             .map(|slot| slot.expect("every slot written by its worker"))
@@ -183,7 +154,7 @@ impl SushiChip {
         let reload = breakdown(&stats, self.design.n());
         let report = opts
             .report
-            .then(|| Self::make_report(data.len(), chunk, &walls, t0.elapsed().as_secs_f64()));
+            .then(|| Self::make_report(data.len(), &chunks, t0.elapsed().as_secs_f64()));
         ChipEvaluation {
             accuracy: accuracy(&predictions, &data.labels),
             predictions,
@@ -193,23 +164,19 @@ impl SushiChip {
         }
     }
 
-    fn make_report(samples: usize, chunk: usize, walls: &[f64], wall_s: f64) -> EvalReport {
-        let workers: Vec<EvalWorkerMetrics> = walls
+    fn make_report(samples: usize, chunks: &[(usize, f64)], wall_s: f64) -> EvalReport {
+        let workers: Vec<EvalWorkerMetrics> = chunks
             .iter()
             .enumerate()
-            .map(|(wi, &w)| {
-                // The last chunk may be short.
-                let count = chunk.min(samples.saturating_sub(wi * chunk));
-                EvalWorkerMetrics {
-                    worker: wi,
-                    samples: count,
-                    wall_s: w,
-                    samples_per_s: if w > 0.0 { count as f64 / w } else { 0.0 },
-                }
+            .map(|(wi, &(count, w))| EvalWorkerMetrics {
+                worker: wi,
+                samples: count,
+                wall_s: w,
+                samples_per_s: if w > 0.0 { count as f64 / w } else { 0.0 },
             })
             .collect();
-        let max_wall = walls.iter().copied().fold(0.0, f64::max);
-        let busy: f64 = walls.iter().sum();
+        let max_wall = workers.iter().map(|w| w.wall_s).fold(0.0, f64::max);
+        let busy: f64 = workers.iter().map(|w| w.wall_s).sum();
         EvalReport {
             samples,
             wall_s,
@@ -218,10 +185,10 @@ impl SushiChip {
             } else {
                 0.0
             },
-            utilization: if walls.is_empty() || max_wall <= 0.0 {
+            utilization: if workers.is_empty() || max_wall <= 0.0 {
                 1.0
             } else {
-                busy / (walls.len() as f64 * max_wall)
+                busy / (workers.len() as f64 * max_wall)
             },
             workers,
         }
@@ -332,14 +299,20 @@ mod tests {
         let (program, _) = tiny_program();
         let chip = SushiChip::paper();
         let data = synth_digits(10, 4);
-        let opts = EvalOptions::new().workers(3).report(true);
-        let eval = chip.evaluate(&program, &data, &opts);
-        let report = eval.report.expect("report requested");
-        assert_eq!(report.samples, 10);
-        assert_eq!(report.workers.len(), 3);
-        let per_worker: usize = report.workers.iter().map(|w| w.samples).sum();
-        assert_eq!(per_worker, 10);
-        assert!(report.utilization > 0.0 && report.utilization <= 1.0);
+        // Every configured worker gets a near-equal share: 10 samples on
+        // 6 workers run as 2,2,2,2,1,1, not as five chunks of 2.
+        for workers in [3, 6] {
+            let opts = EvalOptions::new().workers(workers).report(true);
+            let eval = chip.evaluate(&program, &data, &opts);
+            let report = eval.report.expect("report requested");
+            assert_eq!(report.samples, 10);
+            assert_eq!(report.workers.len(), workers.min(10), "workers={workers}");
+            let loads: Vec<usize> = report.workers.iter().map(|w| w.samples).collect();
+            assert_eq!(loads.iter().sum::<usize>(), 10, "workers={workers}");
+            let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
+            assert!(max - min <= 1, "workers={workers}: {loads:?}");
+            assert!(report.utilization > 0.0 && report.utilization <= 1.0);
+        }
         // Seeded runs differ from the seed-0 default: the sample ids move.
         let seeded = chip.evaluate(&program, &data, &EvalOptions::new().seed(7));
         assert_eq!(seeded.predictions.len(), 10);

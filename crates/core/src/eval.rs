@@ -1,11 +1,10 @@
 //! Chip-level evaluation: the Table 4 comparison rows and derived ratios.
 
 use crate::baselines::Baseline;
-use serde::{Deserialize, Serialize};
 use sushi_arch::{ChipConfig, PerfModel};
 
 /// One row of the Table 4 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRow {
     /// Chip name.
     pub name: String,

@@ -10,7 +10,6 @@ use crate::eval::{efficiency_ratio, speedup_vs_truenorth, table4_rows};
 use crate::oscilloscope::Oscilloscope;
 use crate::report::{batch_worker_table, eval_worker_table, hot_cell_table, TextTable};
 use crate::SushiChip;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use sushi_arch::chip::{ChipConfig, WeightConfig};
 use sushi_arch::{PerfModel, ResourceReport};
@@ -31,7 +30,7 @@ use sushi_ssnn::timing::TimingSchedule;
 pub const SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Workload scale for the training-based experiments (Table 3, ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Samples generated per dataset (80/20 train/test split).
     pub samples: usize,
@@ -124,7 +123,7 @@ pub fn table2() -> (ResourceReport, String) {
 }
 
 /// One point of the Fig. 13 scaling study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig13Point {
     /// Mesh dimension.
     pub n: usize,
@@ -187,7 +186,7 @@ pub fn fig13() -> (Vec<Fig13Point>, String) {
 }
 
 /// One row of Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Dataset name.
     pub dataset: String,
@@ -261,7 +260,7 @@ pub fn fig14() -> String {
 }
 
 /// Result of the Fig. 16 chip-vs-simulation verification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig16Result {
     /// Per-label per-time-step firing from the cell-accurate "chip".
     pub chip_fires: Vec<Vec<bool>>,

@@ -8,12 +8,11 @@
 //! and the recovered per-label pulse sequences give the correct inference
 //! result.
 
-use serde::{Deserialize, Serialize};
 use sushi_cells::Ps;
 use sushi_sim::{levels_from_pulses, LevelTrace, PulseTrain};
 
 /// An oscilloscope sampling chip output channels at a fixed interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Oscilloscope {
     sample_interval_ps: Ps,
 }

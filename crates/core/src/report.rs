@@ -2,7 +2,6 @@
 //! reports emitted by the evaluation layer ([`EvalReport`]) and their
 //! table/JSON renderings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use sushi_sim::{BatchReport, HotCellEntry, Json};
 
@@ -98,7 +97,7 @@ impl fmt::Display for TextTable {
 }
 
 /// Metrics for one behavioural-evaluation worker thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalWorkerMetrics {
     /// Worker index (chunk order).
     pub worker: usize,
@@ -125,7 +124,7 @@ impl EvalWorkerMetrics {
 /// The metrics report of one [`SushiChip::evaluate`](crate::SushiChip::evaluate)
 /// call, collected when [`EvalOptions::report`](sushi_sim::EvalOptions) is
 /// on: end-to-end and per-worker inference throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Samples evaluated.
     pub samples: usize,

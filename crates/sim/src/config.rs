@@ -36,7 +36,6 @@ use crate::engine::{Fault, Simulator};
 use crate::json::{Json, JsonError};
 use crate::netlist::{CellId, Netlist};
 use crate::observe::SimObserver;
-use serde::{Deserialize, Serialize};
 use sushi_cells::{CellLibrary, Ps};
 
 /// A declarative simulator configuration.
@@ -44,12 +43,11 @@ use sushi_cells::{CellLibrary, Ps};
 /// Equality and serialization cover the reproducibility-relevant fields
 /// (jitter, faults, event limit); the attached observer is a run-time
 /// instrument and is deliberately excluded from both.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     jitter: Option<(u64, Ps)>,
     faults: Vec<(CellId, Fault)>,
     event_limit: Option<u64>,
-    #[serde(skip)]
     observer: Option<Box<dyn SimObserver>>,
 }
 
@@ -246,7 +244,7 @@ impl SimConfig {
 
 /// Options shared by the batch-evaluation entry points (`SushiChip::
 /// evaluate`, `CellAccurateChip::run_column_blocks`, `BatchRunner`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalOptions {
     /// Worker threads; `None` picks the host's available parallelism.
     pub workers: Option<usize>,

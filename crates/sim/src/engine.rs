@@ -13,7 +13,6 @@ use crate::observe::SimObserver;
 use crate::partition::{DeliveryRecord, Routing};
 use crate::queue::CalendarQueue;
 use crate::state::{CellState, LogicalIssue};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use sushi_cells::{CellKind, CellLibrary, Constraint, ConstraintTable, PortName, Ps};
@@ -26,7 +25,7 @@ pub const DEFAULT_EVENT_LIMIT: u64 = 50_000_000;
 /// Stores only the offending [`CellId`] (not its label) so the hot path
 /// never clones strings; resolve human-readable labels at report time via
 /// [`Violation::describe`] or [`Simulator::violation_reports`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// The offending cell.
     pub cell: CellId,
@@ -39,7 +38,7 @@ pub struct Violation {
 }
 
 /// The specific rule or issue violated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ViolationDetail {
     /// A Table 1 minimum-separation rule was broken.
     Timing {
@@ -98,7 +97,7 @@ impl Violation {
 /// A [`Violation`] resolved against its netlist: structured fields for
 /// programmatic consumers, with a `Display` that keeps the historical
 /// report string (`"... [label]"`), so nobody has to parse text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViolationReport {
     /// The offending cell.
     pub cell: CellId,
@@ -126,7 +125,7 @@ impl fmt::Display for Violation {
 }
 
 /// Aggregate simulation statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Pulses delivered to cell inputs.
     pub events_delivered: u64,
@@ -232,7 +231,7 @@ impl std::error::Error for SimError {}
 /// exercise the chip-verification flow against broken silicon ("the
 /// current superconducting fabrication technique is more stable for chips
 /// with low JJ density" — defects are a practical concern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The cell's output JJ is open: it absorbs pulses but never emits.
     DropOutput,
@@ -282,7 +281,7 @@ impl Jitter {
 /// Detached results of one simulation run: probe traces, violations and
 /// aggregate statistics. Produced by [`Simulator::take_outcome`] and
 /// returned per item by the batch layer ([`crate::BatchRunner`]).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimOutcome {
     /// Pulse times per probe name.
     pub traces: BTreeMap<String, Vec<Ps>>,

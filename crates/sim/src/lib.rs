@@ -48,7 +48,7 @@ pub mod stimulus;
 pub mod vcd;
 pub mod waveform;
 
-pub use batch::{chunk_plan, BatchReport, BatchRunner, WorkerMetrics};
+pub use batch::{BatchReport, BatchRunner, WorkerMetrics};
 pub use config::{EvalOptions, SimConfig};
 pub use engine::{Fault, SimError, SimOutcome, SimStats, Simulator, Violation, ViolationReport};
 pub use json::{Json, JsonError};
@@ -60,4 +60,7 @@ pub use observe::{
 pub use partition::PartitionPlan;
 pub use queue::CalendarQueue;
 pub use stimulus::{Stimulus, StimulusBuilder};
+// Re-exported for callers that plan their own fan-out, such as the
+// benchmark's verify replay.
+pub use sushi_par::chunk_plan;
 pub use waveform::{levels_from_pulses, render_pulse_rows, LevelTrace, PulseTrain};

@@ -5,13 +5,12 @@
 //! driven by at most one output (merging requires explicit CB cells). The
 //! [`Netlist`] builder enforces both rules at `connect` time.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use sushi_cells::{CellKind, PortDir, PortName, Ps};
 
 /// Identifier of a cell instance within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub(crate) u32);
 
 impl CellId {
@@ -35,7 +34,7 @@ impl fmt::Display for CellId {
 }
 
 /// A (cell, port) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortRef {
     /// The cell instance.
     pub cell: CellId,
@@ -116,7 +115,7 @@ impl fmt::Display for NetlistError {
 impl std::error::Error for NetlistError {}
 
 /// One cell instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellInst {
     /// The cell's kind.
     pub kind: CellKind,
@@ -125,7 +124,7 @@ pub struct CellInst {
 }
 
 /// A wire from an output port to an input port with a propagation delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wire {
     /// Destination input port.
     pub to: PortRef,
@@ -149,7 +148,7 @@ pub struct Wire {
 /// assert_eq!(n.cell_count(), 2);
 /// # Ok::<(), sushi_sim::NetlistError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Netlist {
     cells: Vec<CellInst>,
     /// Driver map: output port -> wire.

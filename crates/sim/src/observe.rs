@@ -48,7 +48,6 @@
 use crate::engine::{SimStats, Violation};
 use crate::json::Json;
 use crate::netlist::{CellId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
@@ -109,7 +108,7 @@ impl Clone for Box<dyn SimObserver> {
 }
 
 /// Per-cell activity counters, filled by [`ActivityProfiler`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellActivity {
     /// Pulses delivered to this cell's inputs.
     pub deliveries: u64,
@@ -119,7 +118,7 @@ pub struct CellActivity {
 
 /// One row of a hot-cell report: a cell resolved to its label with its
 /// activity counters and estimated switching energy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotCellEntry {
     /// The cell.
     pub cell: CellId,
@@ -395,7 +394,7 @@ impl SimObserver for ThroughputMeter {
 }
 
 /// What a [`RingTracer`] record describes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     /// Pulse scheduled on a named external input.
     Inject {
@@ -424,7 +423,7 @@ pub enum TraceKind {
 }
 
 /// One record in the tracer's ring buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Simulation time of the event, ps.
     pub time: Ps,

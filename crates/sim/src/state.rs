@@ -5,12 +5,11 @@
 //! TFFL/TFFR emit on the 0→1 / 1→0 flip respectively, splitters duplicate
 //! and confluence buffers merge.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use sushi_cells::{CellKind, PortName};
 
 /// Internal state of one cell instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellState {
     /// Cells without internal state (JTL, SPL, CB, DC/SFQ converter).
     Stateless,
@@ -134,7 +133,7 @@ impl CellState {
 }
 
 /// Non-fatal logical issues detected by the behavioural models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogicalIssue {
     /// A `din` pulse reached a DFF that already stored one.
     DffOverwrite,

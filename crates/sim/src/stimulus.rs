@@ -6,7 +6,6 @@
 //! encoding phase of the paper "regulates the pulse interval during input
 //! creation based on the cell constraints".
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use sushi_cells::timing::SAFE_INTERVAL_PS;
@@ -70,7 +69,7 @@ impl std::error::Error for StimulusError {}
 /// assert_eq!(stim.pulse_count(), 3);
 /// # Ok::<(), sushi_sim::stimulus::StimulusError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stimulus {
     channels: BTreeMap<String, Vec<Ps>>,
 }

@@ -8,7 +8,6 @@
 //! those observables: pulse trains, derived level traces, tolerance-based
 //! train comparison, and ASCII waveform rendering.
 
-use serde::{Deserialize, Serialize};
 use sushi_cells::Ps;
 
 /// An ordered sequence of pulse times on one channel.
@@ -22,7 +21,7 @@ use sushi_cells::Ps;
 /// assert_eq!(t.len(), 3);
 /// assert_eq!(t.count_in_window(0.0, 60.0), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PulseTrain {
     times: Vec<Ps>,
 }
@@ -108,7 +107,7 @@ impl From<&[Ps]> for PulseTrain {
 
 /// A DC level trace as sampled by the measurement bench: a list of
 /// `(time, new_level)` transitions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelTrace {
     initial: bool,
     transitions: Vec<(Ps, bool)>,

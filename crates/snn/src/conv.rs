@@ -13,7 +13,6 @@
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A 2-D convolution over square feature maps (valid padding).
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// let out = conv.forward(&input, 8, 8);
 /// assert_eq!(out.cols(), 2 * 6 * 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     in_ch: usize,
     out_ch: usize,
@@ -278,7 +277,7 @@ impl Conv2d {
 /// let y = pool.forward(&x, 1, 4, 4);
 /// assert_eq!(y.as_slice(), &[1.0, 0.0, 0.0, 1.0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvgPool2d {
     size: usize,
 }

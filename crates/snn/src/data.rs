@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Image side length (matching the paper's INPUT28*28).
 pub const IMAGE_SIDE: usize = 28;
@@ -34,7 +33,7 @@ pub const NUM_CLASSES: usize = 10;
 /// assert_eq!(train.len(), 80);
 /// assert_eq!(test.len(), 20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Dataset name (for reports).
     pub name: String,

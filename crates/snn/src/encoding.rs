@@ -10,7 +10,6 @@
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic Poisson rate encoder.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(spikes.iter().all(|t| t.as_slice()[0] == 0.0));
 /// assert!(spikes.iter().all(|t| t.as_slice()[1] == 1.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoissonEncoder {
     seed: u64,
 }

@@ -1,9 +1,7 @@
 //! Evaluation metrics: accuracy, consistency (Table 3), confusion matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// The result of evaluating a model on a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Fraction of correctly classified samples.
     pub accuracy: f64,

@@ -22,7 +22,6 @@ use crate::pool::WorkerPool;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A fully-connected spiking network with IF neurons after every layer.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// let rates = net.forward(&frames);
 /// assert_eq!((rates.rows(), rates.cols()), (1, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnnMlp {
     /// Per-layer latent weights, each `in x out`.
     weights: Vec<Matrix>,

@@ -8,7 +8,6 @@
 //! form).
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Width of the rectangular surrogate-gradient window around the threshold.
 pub const SURROGATE_WINDOW: f32 = 2.0;
@@ -27,7 +26,7 @@ pub const SURROGATE_WINDOW: f32 = 2.0;
 /// let s2 = layer.step(&mut v, &Matrix::from_rows(&[&[0.6, 0.1]]));
 /// assert_eq!(s2.as_slice(), &[1.0, 0.0]); // first accumulates to 1.2
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IfNeuron {
     threshold: f32,
     reset: f32,
@@ -177,7 +176,7 @@ impl Default for IfNeuron {
 /// lif.step(&mut v, &Matrix::zeros(1, 1));
 /// assert!((v.as_slice()[0] - 0.3).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifNeuron {
     threshold: f32,
     reset: f32,

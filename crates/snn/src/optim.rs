@@ -1,7 +1,6 @@
 //! Optimizers: Adam (the paper's choice, lr 1e-3) and plain SGD.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The Adam optimizer (Kingma & Ba), the paper's training configuration.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// opt.step(&mut w, &g);
 /// assert!(w[0].as_slice().iter().all(|&v| v < 0.0)); // moved against grad
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -116,7 +115,7 @@ impl Adam {
 }
 
 /// Plain stochastic gradient descent (for ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sgd {
     lr: f32,
 }

@@ -18,10 +18,10 @@
 //! the worker count — so results are also bitwise identical for any pool
 //! size.
 
-use crate::pool::{chunk_plan, WorkerPool};
-use serde::{Deserialize, Serialize};
+use crate::pool::WorkerPool;
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use sushi_par::chunk_plan;
 
 /// Minimum FLOP count before a matmul is split across the worker pool.
 const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
@@ -42,7 +42,7 @@ const MAX_PAR_TASKS: usize = 16;
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -6,13 +6,12 @@ use crate::metrics::{accuracy, Evaluation};
 use crate::network::{SnnMlp, TrainScratch};
 use crate::optim::Adam;
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters.
 ///
 /// [`TrainConfig::paper`] reproduces the paper's setup:
 /// INPUT28*28-FC800-IF-FC10-IF, T = 5, Poisson encoding, Adam at 1e-3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Hidden layer sizes (between the input and the 10-class output).
     pub hidden: Vec<usize>,
@@ -98,7 +97,7 @@ impl TrainConfig {
 }
 
 /// A trained spiking network plus the configuration that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedSnn {
     /// The trained network.
     pub mlp: SnnMlp,

@@ -173,7 +173,7 @@ proptest! {
 }
 
 /// The trained model is bitwise identical for any worker-pool size: chunk
-/// boundaries depend only on shape (`pool::chunk_plan`), and every output
+/// boundaries depend only on shape (`sushi_par::chunk_plan`), and every output
 /// element is produced by exactly one task running the same sequential
 /// kernel. The hidden layer is sized so the per-batch FLOP count crosses
 /// `PARALLEL_FLOP_THRESHOLD` — the 2- and 7-worker runs genuinely take the

@@ -31,14 +31,14 @@
 //! ```
 
 use crate::binarize::BinarizedSnn;
-use crate::packed::{chunk_plan, PackedSnn};
-use serde::{Deserialize, Serialize};
+use crate::packed::PackedSnn;
 use std::fmt;
 use std::str::FromStr;
+use sushi_par::fan_out;
 
 /// Which inference engine to run. All three are bitwise identical; the
 /// choice only affects throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The `Vec<i8>` × `Vec<bool>` reference path — the oracle every
     /// fast path must match. Slow; for validation and debugging.
@@ -160,27 +160,11 @@ pub trait InferenceBackend: Sync {
         Self: Sized,
     {
         let mut preds = vec![0usize; items.len()];
-        let plan = chunk_plan(items.len(), workers);
-        if plan.len() <= 1 {
-            for (item, slot) in items.iter().zip(preds.iter_mut()) {
+        fan_out(&mut preds, workers, 1, |r, out| {
+            for (item, slot) in items[r].iter().zip(out) {
                 *slot = self.predict(item.as_ref());
             }
-            return preds;
-        }
-        crossbeam::thread::scope(|scope| {
-            let mut rest = preds.as_mut_slice();
-            for r in &plan {
-                let (out_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let item_chunk = &items[r.clone()];
-                scope.spawn(move |_| {
-                    for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = self.predict(item.as_ref());
-                    }
-                });
-            }
-        })
-        .expect("predict_batch worker panicked");
+        });
         preds
     }
 }

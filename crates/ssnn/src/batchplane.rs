@@ -51,7 +51,7 @@
 //! ```
 
 use crate::packed::{PackedLayer, PackedSnn};
-use serde::{Deserialize, Serialize};
+use sushi_par::fan_out;
 
 /// Transposes a 64×64 bit matrix in place, LSB-first: afterwards
 /// `a[i] >> j & 1` equals the old `a[j] >> i & 1`.
@@ -115,7 +115,7 @@ fn pack_word(bits: &[bool], offset: usize) -> u64 {
 /// Lanes at or past [`BitplaneBatch::lanes`] are zero on every plane —
 /// the pad-lane invariant the batch kernels rely on (they mask their
 /// fired words with [`BitplaneBatch::lane_mask`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitplaneBatch {
     bits: usize,
     lanes: usize,
@@ -688,9 +688,9 @@ impl PackedSnn {
         I: AsRef<[Vec<bool>]> + Sync,
     {
         let mut preds = vec![0usize; items.len()];
-        let groups = items.len().div_ceil(64);
-        let plan = crate::packed::chunk_plan(groups, workers);
-        let predict_groups = |items: &[I], preds: &mut [usize]| {
+        // A grain of 64 hands every worker whole lane groups.
+        fan_out(&mut preds, workers, 64, |r, preds| {
+            let items = &items[r];
             let mut s = BitplaneScratch::new();
             let mut counts: Vec<Vec<u32>> = vec![Vec::new(); 64.min(items.len())];
             for (group, out) in items.chunks(64).zip(preds.chunks_mut(64)) {
@@ -699,23 +699,7 @@ impl PackedSnn {
                     *slot = crate::backend::argmax_low(c);
                 }
             }
-        };
-        if plan.len() <= 1 {
-            predict_groups(items, &mut preds);
-            return preds;
-        }
-        crossbeam::thread::scope(|scope| {
-            let mut rest = preds.as_mut_slice();
-            for r in &plan {
-                let item_range = r.start * 64..(r.end * 64).min(items.len());
-                let (out_chunk, tail) = rest.split_at_mut(item_range.len());
-                rest = tail;
-                let item_chunk = &items[item_range];
-                let predict_groups = &predict_groups;
-                scope.spawn(move |_| predict_groups(item_chunk, out_chunk));
-            }
-        })
-        .expect("predict_batch_bitplane worker panicked");
+        });
         preds
     }
 
@@ -795,9 +779,9 @@ impl PackedSnn {
         workers: usize,
     ) -> Vec<usize> {
         let mut preds = vec![0usize; items.len()];
-        let groups = items.len().div_ceil(64);
-        let plan = crate::packed::chunk_plan(groups, workers);
-        let predict_groups = |items: &[crate::PackedFrames], preds: &mut [usize]| {
+        // A grain of 64 hands every worker whole lane groups.
+        fan_out(&mut preds, workers, 64, |r, preds| {
+            let items = &items[r];
             let mut s = BitplaneScratch::new();
             let mut counts: Vec<Vec<u32>> = vec![Vec::new(); 64.min(items.len())];
             for (group, out) in items.chunks(64).zip(preds.chunks_mut(64)) {
@@ -806,23 +790,7 @@ impl PackedSnn {
                     *slot = crate::backend::argmax_low(c);
                 }
             }
-        };
-        if plan.len() <= 1 {
-            predict_groups(items, &mut preds);
-            return preds;
-        }
-        crossbeam::thread::scope(|scope| {
-            let mut rest = preds.as_mut_slice();
-            for r in &plan {
-                let item_range = r.start * 64..(r.end * 64).min(items.len());
-                let (out_chunk, tail) = rest.split_at_mut(item_range.len());
-                rest = tail;
-                let item_chunk = &items[item_range];
-                let predict_groups = &predict_groups;
-                scope.spawn(move |_| predict_groups(item_chunk, out_chunk));
-            }
-        })
-        .expect("predict_batch_bitplane_packed worker panicked");
+        });
         preds
     }
 }

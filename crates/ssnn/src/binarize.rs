@@ -9,7 +9,6 @@
 
 use crate::backend::argmax_low;
 use crate::packed::{PackedFrame, PackedLayer};
-use serde::{Deserialize, Serialize};
 use sushi_snn::tensor::Matrix;
 use sushi_snn::train::TrainedSnn;
 
@@ -21,7 +20,7 @@ use sushi_snn::train::TrainedSnn;
 /// the chip — "the NDRO cell can be used to design a configurable
 /// structure in the mesh network, enabling the implementation of
 /// arbitrary connections".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryLayer {
     /// Sign matrix entries (`in x out`, values −1, 0 or +1), row-major.
     signs: Vec<i8>,
@@ -206,7 +205,7 @@ impl BinaryLayer {
 /// // neuron 1 sums -1+1 = 0 < 2.
 /// assert_eq!(spikes, vec![true, false]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinarizedSnn {
     layers: Vec<BinaryLayer>,
 }

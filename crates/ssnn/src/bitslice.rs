@@ -10,11 +10,10 @@
 
 use crate::binarize::BinarizedSnn;
 use crate::packed::PackedFrame;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One tile of one layer mapped onto the chip.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Slice {
     /// Layer index.
     pub layer: usize,
@@ -45,7 +44,7 @@ impl Slice {
 /// assert!(s.len() > 0);
 /// assert!(s.utilization() > 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceSchedule {
     slices: Vec<Slice>,
     n: usize,

@@ -17,8 +17,6 @@
 //! the basis of the paper's "~500 states is adequate" claim and of the
 //! bucketing ablation bench.
 
-use serde::{Deserialize, Serialize};
-
 /// Visit order of a neuron's synapses within one time step: pure
 /// inhibitory synapses first ("we traverse all inhibitory synapse
 /// connections first to obtain the minimum membrane potential value").
@@ -87,7 +85,7 @@ fn chunk(v: &[usize], b: usize, n: usize) -> &[usize] {
 
 /// Result of simulating the running potential of one neuron over one time
 /// step under a given synapse order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Excursion {
     /// Minimum running potential reached.
     pub min: i64,

@@ -7,12 +7,11 @@
 use crate::binarize::BinarizedSnn;
 use crate::bitslice::SliceSchedule;
 use crate::stateless::{ExecStats, FireSemantics, SsnnExecutor};
-use serde::{Deserialize, Serialize};
 use sushi_snn::encoding::PoissonEncoder;
 use sushi_snn::train::TrainedSnn;
 
 /// Compiler parameters (the target chip's shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompilerConfig {
     /// Mesh width `n` of the target chip.
     pub chip_n: usize,
@@ -91,7 +90,7 @@ impl Compiler {
 
 /// A compiled, chip-executable program: the binarized network, its slice
 /// schedule, and the encoding parameters shared with the float reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipProgram {
     /// The binarized network.
     pub net: BinarizedSnn,

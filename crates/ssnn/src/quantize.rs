@@ -10,13 +10,12 @@
 //! same weight strength" — minimising strength reloads (Section 4.2.2).
 
 use crate::bucketing::inhibitory_first;
-use serde::{Deserialize, Serialize};
 use sushi_snn::tensor::Matrix;
 use sushi_snn::train::TrainedSnn;
 
 /// One quantized fully-connected layer: per-synapse sign and strength,
 /// per-neuron integer threshold.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedLayer {
     /// Signed strengths (`in x out`, row-major): `-g..=-1, 1..=g`.
     levels: Vec<i16>,
@@ -198,7 +197,7 @@ impl QuantizedLayer {
 }
 
 /// A stack of quantized layers executed statelessly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedSnn {
     layers: Vec<QuantizedLayer>,
 }

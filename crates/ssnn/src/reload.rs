@@ -12,7 +12,6 @@
 //! statistics into that time breakdown.
 
 use crate::stateless::ExecStats;
-use serde::{Deserialize, Serialize};
 use sushi_cells::Ps;
 
 /// Time for one reload operation to reach its NDRO and settle: the control
@@ -25,7 +24,7 @@ pub const RELOAD_OP_PS: Ps = 240.0;
 pub const SYNOP_PS: Ps = 189.0;
 
 /// A reload/compute time breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReloadBreakdown {
     /// Time spent on synaptic computation, ps.
     pub compute_ps: Ps,

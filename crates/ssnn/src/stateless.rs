@@ -15,10 +15,9 @@
 
 use crate::binarize::BinarizedSnn;
 use crate::bucketing::bucketed_order;
-use serde::{Deserialize, Serialize};
 
 /// Firing semantics of the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FireSemantics {
     /// Software reference: fire iff the end-of-step potential >= threshold.
     EndOfStep,
@@ -28,7 +27,7 @@ pub enum FireSemantics {
 }
 
 /// Counters of hardware-semantics hazards and work performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Neuron-steps where the potential crossed the threshold mid-step but
     /// ended below it (hardware fired, software would not).

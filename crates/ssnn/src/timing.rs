@@ -12,13 +12,12 @@
 //! constraints". [`TimingSchedule`] builds and validates such schedules,
 //! and renders the Fig. 14-style level-conversion view.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use sushi_cells::timing::SAFE_INTERVAL_PS;
 use sushi_cells::Ps;
 
 /// Channel classes of the asynchronous protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// Data input pulses (unconstrained ordering).
     Input,
@@ -46,7 +45,7 @@ impl fmt::Display for ChannelKind {
 }
 
 /// One scheduled pulse.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedPulse {
     /// The channel's protocol class.
     pub kind: ChannelKind,
@@ -106,7 +105,7 @@ impl std::error::Error for TimingError {}
 /// s.push(ChannelKind::Input, "in", 240.0);
 /// assert!(s.validate().is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingSchedule {
     pulses: Vec<TimedPulse>,
 }

@@ -14,7 +14,29 @@ echo "==> cargo doc --no-deps (deny rustdoc warnings)"
 # Only the sushi crates: vendor/ stand-ins are out of scope for the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p sushi-cells -p sushi-sim -p sushi-arch -p sushi-snn -p sushi-ssnn \
-  -p sushi-serve -p sushi-core -p sushi-bench
+  -p sushi-serve -p sushi-core -p sushi-bench -p sushi-par
+
+echo "==> every declared dependency is named by one of its crate's targets"
+# A manifest entry that no source names is dead weight. Each dependency
+# must appear as `<crate>::` or `use <crate>` in the crate's directory or
+# in one of its targets (examples and integration tests may live outside
+# the crate's directory).
+unused="$(cargo metadata --offline --no-deps --format-version 1 | jq -r '
+  .packages[] | . as $p | .dependencies[]
+  | [$p.name, ($p.manifest_path | rtrimstr("/Cargo.toml")),
+     ((.rename // .name) | gsub("-"; "_")),
+     ([$p.targets[].src_path] | join(" "))]
+  | @tsv' |
+  while IFS=$'\t' read -r pkg dir dep srcs; do
+    # $srcs is deliberately unquoted: a space-separated path list.
+    grep -rqE --include='*.rs' "\b${dep}::|use ${dep}\b" "$dir" $srcs ||
+      echo "  $pkg declares $dep, which none of its targets names"
+  done)"
+if [[ -n "$unused" ]]; then
+  echo "unused dependencies:"
+  echo "$unused"
+  exit 1
+fi
 
 echo "==> cargo test -q"
 cargo test -q
