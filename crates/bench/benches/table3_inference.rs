@@ -2,7 +2,9 @@
 //! scale), measures the chip pipeline's per-sample inference cost, and
 //! races the bit-packed XNOR/popcount SSNN engine against the scalar
 //! oracle on the paper's 784–800–10 evaluation shape (`BENCH_ssnn.json`
-//! headline, assembled by `scripts/bench.sh`).
+//! headline, assembled by `scripts/bench.sh`), and the bitplane batch
+//! engine against the per-image one at 1 to 64 lanes (the crossover
+//! behind `sushi_ssnn::BITPLANE_MIN_LANES`).
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::time::Duration;
@@ -11,10 +13,10 @@ use sushi_core::SushiChip;
 use sushi_sim::EvalOptions;
 use sushi_snn::data::synth_digits;
 use sushi_snn::train::{TrainConfig, Trainer};
-use sushi_ssnn::backend::{InferenceBackend, ScalarBackend};
+use sushi_ssnn::backend::ScalarBackend;
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
-use sushi_ssnn::packed::PackedSnn;
+use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 
 /// Images per benchmark iteration of the packed-vs-scalar groups.
 const SSNN_IMAGES: usize = 16;
@@ -96,28 +98,37 @@ fn bench_ssnn_bitplane(c: &mut Criterion) {
     let net = paper_shape_net(0xD1CE);
     let packed = PackedSnn::from_network(&net);
     let images = spike_images(0xB17E, SSNN_BATCH);
+    // Packed once, outside every timed loop: each row below times an
+    // engine on the same `PackedFrames`, never the packing.
+    let items: Vec<PackedFrames> = images
+        .iter()
+        .map(|img| PackedFrames::from_bool_frames(784, img))
+        .collect();
     // Sanity: bitplane results are bitwise identical before we time them.
     assert_eq!(
-        packed.predict_batch_bitplane(&images, 1),
-        packed.predict_batch(&images, 1)
+        packed.predict_batch_bitplane_packed(&items, 1),
+        packed.predict_batch_packed(&items, 1)
     );
 
-    // Single worker on both sides of the headline ratio, so
-    // bitplane_over_packed_speedup isolates the layout + kernel win from
-    // thread-pool scaling.
+    // Single worker on every row, so bitplane_over_packed_speedup
+    // isolates the layout + kernel win from thread-pool scaling.
     let mut g = c.benchmark_group("ssnn_bitplane");
     g.measurement_time(Duration::from_secs(3)).sample_size(20);
     g.throughput(Throughput::Elements(SSNN_BATCH as u64));
     g.bench_function("bitplane_predict_batch64_784_800_10", |b| {
-        b.iter(|| packed.predict_batch_bitplane(&images, 1))
+        b.iter(|| packed.predict_batch_bitplane_packed(&items, 1))
     });
     g.bench_function("packed_predict_batch64_784_800_10", |b| {
-        b.iter(|| packed.predict_batch(&images, 1))
+        b.iter(|| packed.predict_batch_packed(&items, 1))
     });
-    g.throughput(Throughput::Elements(8));
-    g.bench_function("bitplane_predict_batch8_784_800_10", |b| {
-        b.iter(|| packed.predict_batch_bitplane(&images[..8], 1))
-    });
+    // Shallow lane groups: a group's fixed cost is shared by fewer
+    // images, and the crossover with per-image packed lies here.
+    for lanes in [1usize, 2, 4, 8] {
+        g.throughput(Throughput::Elements(lanes as u64));
+        g.bench_function(format!("bitplane_predict_batch{lanes}_784_800_10"), |b| {
+            b.iter(|| packed.predict_batch_bitplane_packed(&items[..lanes], 1))
+        });
+    }
     g.finish();
 }
 

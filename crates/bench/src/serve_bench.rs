@@ -115,10 +115,9 @@ pub fn serve_report(quick: bool) -> String {
 
     // 2. Micro-batched: 32 concurrent clients, size trigger 32. The
     // queue bound (two full batches) keeps worst-case queueing delay —
-    // and with it the overload p99 — small and predictable. The default
-    // backend is Bitplane, so coalesced batches of >= bitplane_min_batch
-    // take the 64-lane path automatically (`bitplane_batches` reports
-    // how many did).
+    // and with it the overload p99 — small and predictable. Coalesced
+    // batches of at least `sushi_ssnn::BITPLANE_MIN_LANES` take the
+    // 64-lane bitplane path (`bitplane_batches` reports how many did).
     let shards = host_cpus.min(4);
     let batched_cfg = ServeConfig::new()
         .max_batch(32)

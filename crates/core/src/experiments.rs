@@ -18,10 +18,10 @@ use sushi_sim::{BatchReport, EvalOptions, PulseTrain};
 use sushi_snn::data::{synth_digits, synth_fashion, Dataset};
 use sushi_snn::metrics::consistency;
 use sushi_snn::train::{TrainConfig, TrainedSnn, Trainer};
-use sushi_ssnn::backend::{Backend, InferenceBackend};
+use sushi_ssnn::backend::ScalarBackend;
 use sushi_ssnn::bucketing::{bucketed_order, inhibitory_first, worst_case_excursion};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
-use sushi_ssnn::packed::PackedSnn;
+use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 use sushi_ssnn::reload::breakdown;
 use sushi_ssnn::stateless::{FireSemantics, SsnnExecutor};
 use sushi_ssnn::timing::TimingSchedule;
@@ -927,10 +927,12 @@ pub fn bench_metrics(scale: Scale) -> String {
         er.to_json(),
     ));
 
-    // Backend drill-down: every InferenceBackend raced on the binarized
-    // network the compiler just built — the scalar oracle, the per-image
-    // packed engine, and the 64-lane bitplane batch engine.
+    // Engine drill-down on the binarized network the compiler just
+    // built: the scalar oracle, the per-image packed engine and the
+    // 64-lane bitplane batch engine, the two fast ones on one pre-packed
+    // copy of the images.
     let packed = PackedSnn::from_network(&program.net);
+    let width = packed.input_width();
     let frames: Vec<Vec<Vec<bool>>> = test
         .images
         .iter()
@@ -938,21 +940,26 @@ pub fn bench_metrics(scale: Scale) -> String {
         .enumerate()
         .map(|(i, img)| program.encode_input(img, i as u64))
         .collect();
+    let requests: Vec<PackedFrames> = frames
+        .iter()
+        .map(|img| PackedFrames::from_bool_frames(width, img))
+        .collect();
+    let oracle = ScalarBackend(&program.net);
     let reps = 5;
-    let mut rates = [0.0f64; 3];
-    let mut preds: Vec<Vec<usize>> = Vec::new();
-    for (k, backend) in Backend::ALL.into_iter().enumerate() {
-        let engine = backend.select(&program.net, &packed);
+    let race = |engine: &dyn Fn() -> Vec<usize>| {
         let t = Instant::now();
         let mut p = Vec::new();
         for _ in 0..reps {
-            p = engine.predict_batch(&frames, 1);
+            p = engine();
         }
-        rates[k] = (reps * frames.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
-        preds.push(p);
-    }
-    let [scalar_rate, packed_rate, bitplane_rate] = rates;
-    let agree = preds.windows(2).all(|w| w[0] == w[1]);
+        let rate = (reps * frames.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
+        (rate, p)
+    };
+    let (scalar_rate, scalar_preds) = race(&|| frames.iter().map(|f| oracle.predict(f)).collect());
+    let (packed_rate, offline) = race(&|| packed.predict_batch_packed(&requests, 1));
+    let (bitplane_rate, bitplane_preds) =
+        race(&|| packed.predict_batch_bitplane_packed(&requests, 1));
+    let agree = scalar_preds == offline && offline == bitplane_preds;
     out.push_str(&format!(
         "\n## Bench: packed SSNN engine (XNOR/popcount)\n\
          images {} x{} reps | packed {:.0} images/s | scalar {:.0} images/s | speedup {:.2}x | predictions agree: {}\n\
@@ -981,8 +988,6 @@ pub fn bench_metrics(scale: Scale) -> String {
             .shards(shards)
             .executors(host_cpus),
     );
-    let width = packed.input_width();
-    let offline = &preds[1];
     let clients = host_cpus.min(4);
     let serve_reps = 5;
     let t = Instant::now();
@@ -990,12 +995,9 @@ pub fn bench_metrics(scale: Scale) -> String {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let handle = server.handle().with_affinity(c);
-                let frames = &frames;
+                let mut requests = requests.clone();
+                let offline = &offline;
                 scope.spawn(move || {
-                    let mut requests: Vec<sushi_serve::PackedRequest> = frames
-                        .iter()
-                        .map(|img| sushi_serve::PackedRequest::from_bool_frames(width, img))
-                        .collect();
                     let mut ok = true;
                     for _ in 0..serve_reps {
                         for (req, &want) in requests.iter_mut().zip(offline) {

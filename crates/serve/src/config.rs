@@ -2,7 +2,6 @@
 //! topology and executor parallelism.
 
 use std::time::Duration;
-use sushi_ssnn::Backend;
 
 /// Tuning knobs of a [`Server`](crate::Server).
 ///
@@ -23,6 +22,11 @@ use sushi_ssnn::Backend;
 ///
 /// Executors prefer their home shard but steal whole batches from any
 /// dispatchable shard, so skewed placement cannot strand requests.
+///
+/// No option picks the engine: the batch depth does. A micro-batch of at
+/// least [`sushi_ssnn::BITPLANE_MIN_LANES`] requests runs on the 64-lane
+/// bitplane engine, a shallower one image by image on the packed engine.
+/// Both are bitwise identical, so the rule only moves throughput.
 ///
 /// Admission is bounded by `queue_capacity` *in total across shards*
 /// (tracked by a lock-free gauge): a request arriving over the bound is
@@ -67,19 +71,6 @@ pub struct ServeConfig {
     /// single-threaded on their executor — cross-batch parallelism
     /// replaces the old intra-batch worker fan-out.
     pub executors: usize,
-    /// Which inference engine serves batches. [`Backend::Bitplane`]
-    /// (the default) evaluates micro-batches of at least
-    /// `bitplane_min_batch` on the 64-lane bitplane path and falls back
-    /// to the per-image packed path below it; [`Backend::Packed`] always
-    /// serves per-image. The server only holds a packed network, so
-    /// [`Backend::Scalar`] is honored as `Packed` — every backend is
-    /// bitwise identical, the knob only moves throughput.
-    pub backend: Backend,
-    /// Smallest micro-batch the bitplane path is worth: below this many
-    /// coalesced requests the per-image packed path serves instead
-    /// (transposing a near-empty lane group costs more than it saves).
-    /// Only consulted when `backend` is [`Backend::Bitplane`].
-    pub bitplane_min_batch: usize,
 }
 
 impl Default for ServeConfig {
@@ -91,16 +82,13 @@ impl Default for ServeConfig {
             queue_capacity: 128,
             shards: cpus.min(4),
             executors: cpus,
-            backend: Backend::Bitplane,
-            bitplane_min_batch: 8,
         }
     }
 }
 
 impl ServeConfig {
     /// The default configuration (batch 32, zero hold, capacity 128,
-    /// `min(4, CPUs)` shards, one executor per CPU, bitplane backend from
-    /// 8 coalesced requests).
+    /// `min(4, CPUs)` shards, one executor per CPU).
     pub fn new() -> Self {
         Self::default()
     }
@@ -142,19 +130,6 @@ impl ServeConfig {
     pub fn workers(self, workers: usize) -> Self {
         self.executors(workers)
     }
-
-    /// Sets the serving backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Sets the smallest micro-batch served on the bitplane path
-    /// (clamped to at least 1).
-    pub fn bitplane_min_batch(mut self, min_batch: usize) -> Self {
-        self.bitplane_min_batch = min_batch.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -167,13 +142,11 @@ mod tests {
             .max_batch(0)
             .queue_capacity(0)
             .shards(0)
-            .executors(0)
-            .bitplane_min_batch(0);
+            .executors(0);
         assert_eq!(cfg.max_batch, 1);
         assert_eq!(cfg.queue_capacity, 1);
         assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.executors, 1);
-        assert_eq!(cfg.bitplane_min_batch, 1);
     }
 
     #[test]
@@ -187,9 +160,8 @@ mod tests {
     fn bitplane_backend_is_the_default() {
         let cfg = ServeConfig::new();
         assert_eq!(cfg.max_delay, Duration::ZERO);
-        assert_eq!(cfg.backend, Backend::Bitplane);
-        assert_eq!(cfg.bitplane_min_batch, 8);
         assert!(cfg.shards >= 1 && cfg.shards <= 4);
-        assert_eq!(cfg.backend(Backend::Packed).backend, Backend::Packed);
+        // A default-sized batch is deep enough for the bitplane engine.
+        assert!(cfg.max_batch >= sushi_ssnn::BITPLANE_MIN_LANES);
     }
 }

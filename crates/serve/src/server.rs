@@ -12,10 +12,12 @@
 //! a free executor dispatches whatever waits at once, up to
 //! `max_batch`. A non-zero `max_delay` is an opt-in hold: a shard's
 //! batch waits for the size trigger (`max_batch` waiting) or the
-//! deadline trigger (oldest request waited `max_delay`). Batches run
-//! through the packed/bitplane engines, so served predictions are
-//! bitwise identical to offline batch inference for every shard and
-//! executor count.
+//! deadline trigger (oldest request waited `max_delay`). The batch
+//! depth picks the engine: a micro-batch of at least
+//! [`BITPLANE_MIN_LANES`] runs as one bitplane lane group per 64
+//! requests, a shallower one image by image on the packed engine. Both
+//! are bitwise identical, so served predictions equal offline batch
+//! inference for every shard and executor count.
 //!
 //! The steady-state path allocates nothing per request: request slots
 //! are pooled and payloads move by `mem::swap`, executors own long-lived
@@ -29,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sushi_ssnn::{argmax_low, Backend, BitplaneScratch, PackedSnn, PredictScratch};
+use sushi_ssnn::{argmax_low, BitplaneScratch, PackedSnn, PredictScratch, BITPLANE_MIN_LANES};
 
 use crate::ServeConfig;
 
@@ -92,8 +94,8 @@ pub struct ServerStats {
     pub served: u64,
     /// Micro-batches dispatched to the engine.
     pub batches: u64,
-    /// Micro-batches served on the 64-lane bitplane path (deep enough
-    /// for `bitplane_min_batch` under [`Backend::Bitplane`]).
+    /// Micro-batches served on the 64-lane bitplane path: those at least
+    /// [`BITPLANE_MIN_LANES`] deep.
     pub bitplane_batches: u64,
     /// Micro-batches an executor drained from a non-home shard (work
     /// stealing under skewed placement).
@@ -243,13 +245,19 @@ pub struct Server {
 impl Server {
     /// Starts the executor threads over `snn` with the given
     /// configuration.
+    ///
+    /// The config's fields are public, so a struct literal can skip the
+    /// builder's clamps; they are applied here once, and the server runs
+    /// the clamped config.
     pub fn start(snn: PackedSnn, cfg: ServeConfig) -> Self {
-        let shards = (0..cfg.shards.max(1))
+        let (max_batch, shards, executors) = (cfg.max_batch, cfg.shards, cfg.executors);
+        let cfg = cfg.max_batch(max_batch).shards(shards).executors(executors);
+        let shards = (0..cfg.shards)
             .map(|_| Shard {
                 queue: Mutex::new(VecDeque::new()),
             })
             .collect();
-        let executor_count = cfg.executors.max(1);
+        let executor_count = cfg.executors;
         let shared = Arc::new(Shared {
             snn,
             cfg,
@@ -491,8 +499,9 @@ impl ExecCtx {
 }
 
 /// Serves the staged batch in `ctx.batch`: payloads are swapped out of
-/// the slots, classified (bitplane path for deep batches), swapped back
-/// and marked done. Clears the staging area, keeping every allocation.
+/// the slots, classified (bitplane path from [`BITPLANE_MIN_LANES`]
+/// requests on), swapped back and marked done. Clears the staging area,
+/// keeping every allocation.
 fn run_batch(shared: &Shared, ctx: &mut ExecCtx) {
     let n = ctx.batch.len();
     while ctx.frames.len() < n {
@@ -503,8 +512,8 @@ fn run_batch(shared: &Shared, ctx: &mut ExecCtx) {
     }
     // The bitplane path pays a transpose per lane group; it only wins
     // once the micro-batch is deep enough to fill lanes, so shallow
-    // batches fall back to the per-image packed path.
-    let bitplane = shared.cfg.backend == Backend::Bitplane && n >= shared.cfg.bitplane_min_batch;
+    // batches run on the per-image packed path.
+    let bitplane = n >= BITPLANE_MIN_LANES;
     if bitplane {
         let classes = shared.snn.classes();
         while ctx.counts.len() < 64.min(n) {

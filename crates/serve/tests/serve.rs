@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use sushi_serve::loadgen;
 use sushi_serve::{ServeConfig, ServeError, Server};
-use sushi_ssnn::{Backend, PackedLayer, PackedSnn};
+use sushi_ssnn::{PackedLayer, PackedSnn, BITPLANE_MIN_LANES};
 
 /// A deterministic 32-16-10 packed network (xorshift weights, the same
 /// recipe as the benchmark fixtures, scaled down for test speed).
@@ -93,24 +93,31 @@ fn served_predictions_match_offline_batch_bitwise() {
 #[test]
 fn bitplane_served_classes_match_offline_batch_bitwise() {
     let snn = test_net(0xB17);
-    let images = spike_images(0xB17E, 48, snn.input_width(), 4);
+    let per_client = 6;
+    let images = spike_images(
+        0xB17E,
+        BITPLANE_MIN_LANES * per_client,
+        snn.input_width(),
+        4,
+    );
     let offline = snn.predict_batch(&images, 1);
-    // min_batch 1 forces every micro-batch — even a deadline-triggered
-    // single request — onto the bitplane path; test_net's negative
-    // thresholds make inactive-lane masking observable if it broke.
+    // One sequential client per lane, one shard and a hold no test
+    // outlives: only the size trigger dispatches, so every micro-batch
+    // is exactly `BITPLANE_MIN_LANES` deep and takes the bitplane path.
+    // test_net's negative thresholds make pad-lane masking observable if
+    // it broke.
     let server = Server::start(
         snn,
         ServeConfig::new()
-            .max_batch(8)
-            .max_delay(Duration::from_millis(1))
-            .workers(1)
-            .backend(Backend::Bitplane)
-            .bitplane_min_batch(1),
+            .max_batch(BITPLANE_MIN_LANES)
+            .max_delay(Duration::from_secs(60))
+            .shards(1)
+            .executors(1),
     );
     let handle = server.handle();
     let served: Vec<usize> = std::thread::scope(|scope| {
         let chunks: Vec<_> = images
-            .chunks(12)
+            .chunks(per_client)
             .map(|chunk| {
                 let h = handle.clone();
                 scope.spawn(move || -> Vec<usize> {
@@ -141,13 +148,13 @@ fn packed_backend_never_takes_the_bitplane_path() {
     let snn = test_net(0x9ACD);
     let images = spike_images(0x9A5, 8, snn.input_width(), 2);
     let offline = snn.predict_batch(&images, 1);
+    // A batch can never reach the bitplane depth.
     let server = Server::start(
         snn,
         ServeConfig::new()
-            .max_batch(4)
+            .max_batch(BITPLANE_MIN_LANES - 1)
             .max_delay(Duration::from_millis(1))
-            .workers(1)
-            .backend(Backend::Packed),
+            .workers(1),
     );
     let handle = server.handle();
     let served: Vec<usize> = images
@@ -290,6 +297,42 @@ fn wrong_frame_width_is_rejected_before_queueing() {
     let err = handle.predict(vec![vec![true; 7]]).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)));
     assert_eq!(server.stats().admitted, 0);
+}
+
+#[test]
+fn zero_max_batch_config_still_serves() {
+    let snn = test_net(0x2E40);
+    let image = spike_images(0x2E41, 1, snn.input_width(), 2).remove(0);
+    let want = snn.predict(&image);
+    // The fields are public, so a struct literal skips the builder's
+    // clamp to 1.
+    let server = Server::start(
+        snn,
+        ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::new().shards(1).executors(1)
+        },
+    );
+    let handle = server.handle();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let _ = tx.send(handle.predict(image));
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(served) => {
+            client.join().expect("client thread");
+            let p = served.expect("serve ok");
+            assert_eq!(p.class, want);
+            assert_eq!(p.batch_size, 1);
+        }
+        Err(_) => {
+            // Dropping the server would join an executor that never
+            // drains the request, hanging the test instead of failing
+            // it; the client stays blocked with it.
+            std::mem::forget(server);
+            panic!("a max_batch 0 config left its request waiting");
+        }
+    }
 }
 
 #[test]

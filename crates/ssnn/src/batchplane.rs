@@ -33,24 +33,31 @@
 //! there are no per-image horizontal reductions and no half-empty words,
 //! so AVX-512 finally pays for itself (see DESIGN.md).
 //!
+//! Input arrives as [`PackedFrames`], the per-image engine's request
+//! type: each 64-bit block of a lane group is one word copy per lane
+//! plus one `transpose64`, so no bool is ever touched on the way in.
+//!
 //! # Examples
 //!
 //! ```
-//! use sushi_ssnn::batchplane::BitplaneBatch;
 //! use sushi_ssnn::binarize::{BinaryLayer, BinarizedSnn};
-//! use sushi_ssnn::packed::PackedSnn;
+//! use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 //!
 //! let l = BinaryLayer::from_signs(vec![1, -1, 1, 1], 2, 2, vec![1, 2]);
 //! let net = BinarizedSnn::from_layers(vec![l]);
 //! let packed = PackedSnn::from_network(&net);
-//! let items = vec![vec![vec![true, true]], vec![vec![false, true]]];
+//! let items: Vec<PackedFrames> = [[true, true], [false, true]]
+//!     .iter()
+//!     .map(|f| PackedFrames::from_bool_frames(2, &[f]))
+//!     .collect();
 //! assert_eq!(
-//!     packed.predict_batch_bitplane(&items, 1),
-//!     packed.predict_batch(&items, 1),
+//!     packed.predict_batch_bitplane_packed(&items, 1),
+//!     packed.predict_batch_packed(&items, 1),
 //! );
 //! ```
 
-use crate::packed::{PackedLayer, PackedSnn};
+use crate::backend::argmax_low;
+use crate::packed::{PackedFrames, PackedLayer, PackedSnn};
 use sushi_par::fan_out;
 
 /// Transposes a 64×64 bit matrix in place, LSB-first: afterwards
@@ -75,37 +82,6 @@ pub fn transpose64(a: &mut [u64; 64]) {
         j >>= 1;
         m ^= m << j;
     }
-}
-
-/// Packs up to 64 bits of a bool slice starting at `offset`, LSB-first;
-/// bits past the slice end are zero.
-///
-/// Packing runs once per lane per step on the batch path, so it packs 8
-/// bools per multiply: with one 0x00/0x01 byte per bool, byte `i` of
-/// `chunk * PACK_MUL` lands on bit `56 + i` (the exponents `56 - 7i`
-/// admit no cross terms, so no carries), making the high byte the
-/// LSB-first packed octet.
-fn pack_word(bits: &[bool], offset: usize) -> u64 {
-    const PACK_MUL: u64 = 0x0102_0408_1020_4080;
-    if offset >= bits.len() {
-        return 0;
-    }
-    let tail = &bits[offset..];
-    let take = tail.len().min(64);
-    // SAFETY: `bool` is a single byte with the guaranteed representation
-    // 0x00 / 0x01, so reading the slice as bytes is sound.
-    let bytes: &[u8] = unsafe { core::slice::from_raw_parts(tail.as_ptr().cast(), take) };
-    let mut word = 0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for (k, chunk) in chunks.by_ref().enumerate() {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        word |= (m.wrapping_mul(PACK_MUL) >> 56) << (k * 8);
-    }
-    let packed = take & !7;
-    for (b, &v) in chunks.remainder().iter().enumerate() {
-        word |= u64::from(v) << (packed + b);
-    }
-    word
 }
 
 /// A batch of up to 64 binary frames in bitplane (image-major) layout:
@@ -137,65 +113,9 @@ impl BitplaneBatch {
         }
     }
 
-    /// Transposes up to 64 equal-width frames in ("transpose in"): frame
-    /// `l` becomes lane `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than 64 frames are given or widths differ.
-    pub fn from_frames(frames: &[&[bool]]) -> Self {
-        let bits = frames.first().map_or(0, |f| f.len());
-        let mut b = Self::zeros(bits, frames.len());
-        b.fill_from_lane_frames(bits, frames.iter().map(|f| Some(*f)));
-        b
-    }
-
-    /// Repacks this batch from per-lane frames, reusing its allocation:
-    /// lane `l` takes the `l`-th item, `None` lanes stay all-zero (how
-    /// shorter frame sequences ride in a mixed batch). The iterator's
-    /// length sets the lane count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than 64 frames are given or a frame's width is not
-    /// `bits`.
-    pub fn fill_from_lane_frames<'a, I>(&mut self, bits: usize, frames: I)
-    where
-        I: Iterator<Item = Option<&'a [bool]>>,
-    {
-        // Collect the lane slices once so each 64-wide block can walk
-        // them in lane order (the transpose needs all lanes per block).
-        let mut lane_refs: [Option<&[bool]>; 64] = [None; 64];
-        let mut lanes = 0usize;
-        for f in frames {
-            assert!(lanes < 64, "at most 64 lanes per batch");
-            if let Some(f) = f {
-                assert_eq!(f.len(), bits, "frame width mismatch");
-            }
-            lane_refs[lanes] = f;
-            lanes += 1;
-        }
-        self.bits = bits;
-        self.lanes = lanes;
-        self.planes.clear();
-        self.planes.resize(bits, 0);
-        let mut tile = [0u64; 64];
-        for block in 0..bits.div_ceil(64) {
-            let lo = block * 64;
-            for (l, f) in lane_refs[..lanes].iter().enumerate() {
-                tile[l] = f.map_or(0, |f| pack_word(f, lo));
-            }
-            tile[lanes..].fill(0);
-            transpose64(&mut tile);
-            let hi = bits.min(lo + 64);
-            self.planes[lo..hi].copy_from_slice(&tile[..hi - lo]);
-        }
-    }
-
-    /// Transposes up to 64 already-packed frames in: lane `l` takes the
-    /// `l`-th word slice (a [`crate::PackedFrames`] frame of `bits`
-    /// bits). The word-level twin of [`BitplaneBatch::from_frames`] —
-    /// no bool detour, the tile is filled one `u64` copy per lane.
+    /// Transposes up to 64 already-packed frames in ("transpose in"):
+    /// lane `l` takes the `l`-th word slice (a [`PackedFrames`] frame of
+    /// `bits` bits), the tile filled one `u64` copy per lane.
     ///
     /// # Panics
     ///
@@ -207,16 +127,15 @@ impl BitplaneBatch {
         b
     }
 
-    /// Repacks this batch from per-lane *packed* frames, reusing its
+    /// Repacks this batch from per-lane packed frames, reusing its
     /// allocation: lane `l` takes the `l`-th item's words, `None` lanes
-    /// stay all-zero. The word-level twin of
-    /// [`BitplaneBatch::fill_from_lane_frames`]: each 64-wide block is
-    /// one word copy per lane plus one `transpose64`, so a packed
-    /// request reaches bitplane layout without touching a single bool.
+    /// stay all-zero (how shorter frame sequences ride in a mixed
+    /// batch). The iterator's length sets the lane count. Each 64-wide
+    /// block is one word copy per lane plus one `transpose64`.
     ///
     /// The caller guarantees the frames keep the pad-bit invariant
-    /// (bits past `bits` zero), which [`crate::PackedFrames`] enforces
-    /// on every push.
+    /// (bits past `bits` zero), which [`PackedFrames`] enforces on every
+    /// push.
     ///
     /// # Panics
     ///
@@ -609,109 +528,14 @@ impl PackedLayer {
 }
 
 impl PackedSnn {
-    /// Per-class spike counts of one ≤ 64-item lane group, written into
-    /// `counts` (one `Vec<u32>` per lane, cleared and resized here).
-    /// Items may have different frame counts: at step `t` only lanes
-    /// with more than `t` frames contribute, so every lane's counts
-    /// equal its standalone [`PackedSnn::forward_counts`] exactly.
-    fn bitplane_group_counts<I>(
-        &self,
-        items: &[I],
-        s: &mut BitplaneScratch,
-        counts: &mut [Vec<u32>],
-    ) where
-        I: AsRef<[Vec<bool>]>,
-    {
-        debug_assert!(items.len() <= 64 && counts.len() == items.len());
-        let classes = self.classes();
-        let width = self.input_width();
-        for c in counts.iter_mut() {
-            c.clear();
-            c.resize(classes, 0);
-        }
-        let max_frames = items.iter().map(|it| it.as_ref().len()).max().unwrap_or(0);
-        for t in 0..max_frames {
-            let mut active = 0u64;
-            for (l, it) in items.iter().enumerate() {
-                active |= u64::from(it.as_ref().len() > t) << l;
-            }
-            s.x.fill_from_lane_frames(
-                width,
-                items.iter().map(|it| it.as_ref().get(t).map(Vec::as_slice)),
-            );
-            for layer in self.layers() {
-                layer.batch_step_into(&s.x, &mut s.y, &mut s.xm);
-                std::mem::swap(&mut s.x, &mut s.y);
-            }
-            for (j, &plane) in s.x.planes()[..classes].iter().enumerate() {
-                let mut fired = plane & active;
-                while fired != 0 {
-                    let l = fired.trailing_zeros() as usize;
-                    counts[l][j] += 1;
-                    fired &= fired - 1;
-                }
-            }
-        }
-    }
-
-    /// Per-class spike counts for every item, evaluated 64 images per
-    /// sweep on the bitplane path — bitwise identical to calling
-    /// [`PackedSnn::forward_counts`] per item.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn forward_counts_bitplane<I>(&self, items: &[I]) -> Vec<Vec<u32>>
-    where
-        I: AsRef<[Vec<bool>]>,
-    {
-        let mut counts: Vec<Vec<u32>> = vec![Vec::new(); items.len()];
-        let mut s = BitplaneScratch::new();
-        for (group, out) in items.chunks(64).zip(counts.chunks_mut(64)) {
-            self.bitplane_group_counts(group, &mut s, out);
-        }
-        counts
-    }
-
-    /// Predicts every item on the bitplane path: items are split into
-    /// 64-wide lane groups, groups into contiguous per-worker chunks in
-    /// the [`PackedSnn::predict_batch`] style — input-ordered and
-    /// bitwise identical to the packed and scalar engines for any
-    /// worker count (`workers <= 1` runs on the calling thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch or if a worker thread panics (none
-    /// originate in the engine itself).
-    pub fn predict_batch_bitplane<I>(&self, items: &[I], workers: usize) -> Vec<usize>
-    where
-        I: AsRef<[Vec<bool>]> + Sync,
-    {
-        let mut preds = vec![0usize; items.len()];
-        // A grain of 64 hands every worker whole lane groups.
-        fan_out(&mut preds, workers, 64, |r, preds| {
-            let items = &items[r];
-            let mut s = BitplaneScratch::new();
-            let mut counts: Vec<Vec<u32>> = vec![Vec::new(); 64.min(items.len())];
-            for (group, out) in items.chunks(64).zip(preds.chunks_mut(64)) {
-                self.bitplane_group_counts(group, &mut s, &mut counts[..group.len()]);
-                for (slot, c) in out.iter_mut().zip(&counts) {
-                    *slot = crate::backend::argmax_low(c);
-                }
-            }
-        });
-        preds
-    }
-
-    /// Per-class spike counts of one ≤ 64-item group of *packed*
+    /// Per-class spike counts of one ≤ 64-item group of packed
     /// requests, written into `counts` (one `Vec<u32>` per lane,
-    /// cleared and resized here). The word-level twin of the bool
-    /// group sweep: frames go straight from [`crate::PackedFrames`]
-    /// words into bitplane tiles, so the serve hot path never
-    /// materialises a bool. Items may have different frame counts; at
-    /// step `t` only lanes with more than `t` frames contribute, so
-    /// every lane's counts equal its standalone
-    /// [`PackedSnn::forward_counts_packed`] exactly.
+    /// cleared and resized here). Frames go straight from
+    /// [`PackedFrames`] words into bitplane tiles, so the serve hot path
+    /// never materialises a bool. Items may have different frame
+    /// counts; at step `t` only lanes with more than `t` frames
+    /// contribute, so every lane's counts equal its standalone
+    /// [`PackedSnn::forward_counts_packed_into`] exactly.
     ///
     /// # Panics
     ///
@@ -719,7 +543,7 @@ impl PackedSnn {
     /// entries.
     pub fn bitplane_group_counts_packed(
         &self,
-        items: &[crate::PackedFrames],
+        items: &[PackedFrames],
         s: &mut BitplaneScratch,
         counts: &mut [Vec<u32>],
     ) {
@@ -733,11 +557,7 @@ impl PackedSnn {
             c.clear();
             c.resize(classes, 0);
         }
-        let max_frames = items
-            .iter()
-            .map(crate::PackedFrames::len)
-            .max()
-            .unwrap_or(0);
+        let max_frames = items.iter().map(PackedFrames::len).max().unwrap_or(0);
         for t in 0..max_frames {
             let mut active = 0u64;
             for (l, it) in items.iter().enumerate() {
@@ -764,10 +584,10 @@ impl PackedSnn {
 
     /// Predicts every packed request on the bitplane path: items are
     /// split into 64-wide lane groups, groups into contiguous
-    /// per-worker chunks in the [`PackedSnn::predict_batch`] style —
-    /// input-ordered and bitwise identical to
-    /// [`PackedSnn::predict_batch_packed`] and the bool engines for
-    /// any worker count (`workers <= 1` runs on the calling thread).
+    /// per-worker chunks in the [`PackedSnn::predict_batch_packed`]
+    /// style — input-ordered and bitwise identical to the per-image
+    /// engine and the scalar oracle for any worker count
+    /// (`workers <= 1` runs on the calling thread).
     ///
     /// # Panics
     ///
@@ -775,7 +595,7 @@ impl PackedSnn {
     /// (none originate in the engine itself).
     pub fn predict_batch_bitplane_packed(
         &self,
-        items: &[crate::PackedFrames],
+        items: &[PackedFrames],
         workers: usize,
     ) -> Vec<usize> {
         let mut preds = vec![0usize; items.len()];
@@ -787,7 +607,7 @@ impl PackedSnn {
             for (group, out) in items.chunks(64).zip(preds.chunks_mut(64)) {
                 self.bitplane_group_counts_packed(group, &mut s, &mut counts[..group.len()]);
                 for (slot, c) in out.iter_mut().zip(&counts) {
-                    *slot = crate::backend::argmax_low(c);
+                    *slot = argmax_low(c);
                 }
             }
         });
@@ -798,7 +618,7 @@ impl PackedSnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{InferenceBackend, ScalarBackend};
+    use crate::backend::ScalarBackend;
     use crate::binarize::{BinarizedSnn, BinaryLayer};
 
     fn xorshift(state: &mut u64) -> u64 {
@@ -855,13 +675,38 @@ mod tests {
         assert_eq!(a, orig, "transpose is an involution");
     }
 
+    /// Packs bool items at `width`, one [`PackedFrames`] per item.
+    fn pack(width: usize, items: &[Vec<Vec<bool>>]) -> Vec<PackedFrames> {
+        items
+            .iter()
+            .map(|it| PackedFrames::from_bool_frames(width, it))
+            .collect()
+    }
+
+    /// Transposes equal-width bool frames in, one lane per frame, by way
+    /// of their packed words.
+    fn batch_of(width: usize, frames: &[Vec<bool>]) -> BitplaneBatch {
+        let packed = PackedFrames::from_bool_frames(width, frames);
+        let refs: Vec<&[u64]> = packed.frames().collect();
+        BitplaneBatch::from_packed_frames(width, &refs)
+    }
+
+    /// Bitplane spike counts of every item, 64 lanes per group.
+    fn bitplane_counts(p: &PackedSnn, items: &[PackedFrames]) -> Vec<Vec<u32>> {
+        let mut counts = vec![Vec::new(); items.len()];
+        let mut s = BitplaneScratch::new();
+        for (group, out) in items.chunks(64).zip(counts.chunks_mut(64)) {
+            p.bitplane_group_counts_packed(group, &mut s, out);
+        }
+        counts
+    }
+
     #[test]
     fn from_frames_roundtrip_and_pad_lanes() {
         for (n, width) in [(1usize, 1usize), (3, 63), (7, 64), (64, 65), (5, 130)] {
             let mut st = 11 + (n * width) as u64;
             let frames: Vec<Vec<bool>> = (0..n).map(|_| random_frame(&mut st, width)).collect();
-            let refs: Vec<&[bool]> = frames.iter().map(Vec::as_slice).collect();
-            let b = BitplaneBatch::from_frames(&refs);
+            let b = batch_of(width, &frames);
             assert_eq!(b.lanes(), n);
             assert_eq!(b.bits(), width);
             assert_eq!(b.to_frames(), frames, "({n},{width})");
@@ -874,8 +719,7 @@ mod tests {
     #[test]
     fn get_set_agree_with_frames() {
         let frames = [vec![true, false, true], vec![false, false, true]];
-        let refs: Vec<&[bool]> = frames.iter().map(Vec::as_slice).collect();
-        let mut b = BitplaneBatch::from_frames(&refs);
+        let mut b = batch_of(3, &frames);
         assert!(b.get(0, 0) && !b.get(0, 1) && b.get(2, 1));
         b.set(1, 1);
         assert_eq!(b.lane_frame(1), vec![false, true, true]);
@@ -884,16 +728,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 64 lanes")]
     fn more_than_64_lanes_panics() {
-        let frame = vec![true; 4];
-        let refs: Vec<&[bool]> = (0..65).map(|_| frame.as_slice()).collect();
-        let _ = BitplaneBatch::from_frames(&refs);
+        let frame = PackedFrames::from_bool_frames(4, &[[true; 4]]);
+        let refs: Vec<&[u64]> = (0..65).map(|_| frame.frame(0)).collect();
+        let _ = BitplaneBatch::from_packed_frames(4, &refs);
     }
 
+    /// Word input only sees word counts, so the two widths must differ
+    /// in words: 64 bits is one word, 65 bits two.
     #[test]
     #[should_panic(expected = "frame width mismatch")]
     fn mixed_widths_panic() {
-        let (a, b) = (vec![true; 4], vec![true; 5]);
-        let _ = BitplaneBatch::from_frames(&[a.as_slice(), b.as_slice()]);
+        let a = PackedFrames::from_bool_frames(64, &[[true; 64]]);
+        let b = PackedFrames::from_bool_frames(65, &[[true; 65]]);
+        let _ = BitplaneBatch::from_packed_frames(64, &[a.frame(0), b.frame(0)]);
     }
 
     #[test]
@@ -904,8 +751,7 @@ mod tests {
             let layer = net.layers()[0].packed();
             let mut st = 0x11C0 + lanes as u64;
             let frames: Vec<Vec<bool>> = (0..lanes).map(|_| random_frame(&mut st, ins)).collect();
-            let refs: Vec<&[bool]> = frames.iter().map(Vec::as_slice).collect();
-            let x = BitplaneBatch::from_frames(&refs);
+            let x = batch_of(ins, &frames);
             let mut out = BitplaneBatch::default();
             let mut xm = Vec::new();
             layer.batch_step_into(&x, &mut out, &mut xm);
@@ -925,13 +771,13 @@ mod tests {
         // inactive lanes must still stay out of the counts.
         let l = BinaryLayer::from_signs(vec![-1; 100], 100, 1, vec![0]);
         let net = BinarizedSnn::from_layers(vec![l]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
         let items = vec![
             vec![vec![true; 100]],  // acc -100 < 0: silent
             vec![vec![false; 100]], // acc 0 >= 0: fires
             vec![],                 // no frames: zero counts
         ];
-        let counts = p.forward_counts_bitplane(&items);
+        let counts = bitplane_counts(&p, &pack(100, &items));
         assert_eq!(counts, vec![vec![0], vec![1], vec![0]]);
         for (it, want) in items.iter().zip(&counts) {
             assert_eq!(&p.forward_counts(it), want);
@@ -941,11 +787,11 @@ mod tests {
     #[test]
     fn bitplane_matches_packed_across_group_boundaries() {
         let net = random_net(21, &[(90, 33), (33, 7)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
         for count in [0usize, 1, 63, 64, 65, 130] {
             let items = random_items(0x5EED + count as u64, count, 90, 3);
             assert_eq!(
-                p.predict_batch_bitplane(&items, 1),
+                p.predict_batch_bitplane_packed(&pack(90, &items), 1),
                 p.predict_batch(&items, 1),
                 "count {count}"
             );
@@ -955,13 +801,13 @@ mod tests {
     #[test]
     fn mixed_frame_counts_per_lane_match_per_item_counts() {
         let net = random_net(77, &[(70, 20), (20, 5)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
         let mut st = 0xFEEDu64;
         // Frame counts 0..=4 interleaved across one lane group.
         let items: Vec<Vec<Vec<bool>>> = (0..40)
             .map(|k| (0..k % 5).map(|_| random_frame(&mut st, 70)).collect())
             .collect();
-        let counts = p.forward_counts_bitplane(&items);
+        let counts = bitplane_counts(&p, &pack(70, &items));
         for (it, got) in items.iter().zip(&counts) {
             assert_eq!(&p.forward_counts(it), got);
         }
@@ -970,50 +816,63 @@ mod tests {
     #[test]
     fn bitplane_predict_batch_is_worker_invariant() {
         let net = random_net(5, &[(100, 30), (30, 6)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
         let items = random_items(0xB00C, 150, 100, 2);
-        let reference = p.predict_batch_bitplane(&items, 1);
+        let packed_items = pack(100, &items);
+        let reference = p.predict_batch_bitplane_packed(&packed_items, 1);
         assert_eq!(reference, p.predict_batch(&items, 1));
         for workers in [2usize, 3, 7, 16] {
             assert_eq!(
-                p.predict_batch_bitplane(&items, workers),
+                p.predict_batch_bitplane_packed(&packed_items, workers),
                 reference,
                 "w={workers}"
             );
         }
-        assert_eq!(p.predict_batch_bitplane::<Vec<Vec<bool>>>(&[], 4), vec![]);
+        assert_eq!(p.predict_batch_bitplane_packed(&[], 4), vec![]);
     }
 
     #[test]
     fn bitplane_backend_single_item_matches_scalar() {
         let net = random_net(301, &[(80, 25), (25, 9)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
         let items = random_items(0xDEAF, 5, 80, 4);
         let scalar = ScalarBackend(&net);
-        let bp = crate::backend::BitplaneBackend(&p);
-        for it in &items {
-            assert_eq!(bp.forward_counts(it), scalar.forward_counts(it));
-            assert_eq!(bp.predict(it), scalar.predict(it));
+        // Each item alone as a one-lane group.
+        for (it, packed) in items.iter().zip(pack(80, &items)) {
+            let one = std::slice::from_ref(&packed);
+            assert_eq!(bitplane_counts(&p, one), vec![scalar.forward_counts(it)]);
+            assert_eq!(
+                p.predict_batch_bitplane_packed(one, 1),
+                vec![scalar.predict(it)]
+            );
         }
     }
 
+    /// Bool frames reach the bitplane engine only through
+    /// [`PackedFrames`], which rejects a frame of the wrong width as it
+    /// packs it.
     #[test]
     #[should_panic(expected = "frame width mismatch")]
     fn width_mismatch_panics() {
         let net = random_net(1, &[(10, 3)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
-        let _ = p.forward_counts_bitplane(&[vec![vec![true; 9]]]);
+        let p = PackedSnn::from_network(&net);
+        let item = PackedFrames::from_bool_frames(p.input_width(), &[vec![true; 9]]);
+        let _ = p.predict_batch_bitplane_packed(&[item], 1);
     }
 
     #[test]
     fn fill_from_lane_words_matches_bool_fill() {
-        use crate::PackedFrames;
         for (n, width) in [(1usize, 1usize), (3, 63), (7, 64), (64, 65), (5, 130)] {
             let mut st = 0xACE0 + (n * width) as u64;
             let frames: Vec<Vec<bool>> = (0..n).map(|_| random_frame(&mut st, width)).collect();
             let packed = PackedFrames::from_bool_frames(width, &frames);
-            let mut from_bools = BitplaneBatch::default();
-            from_bools.fill_from_lane_frames(width, frames.iter().map(|f| Some(f.as_slice())));
+            // The reference, set bit by bit.
+            let mut from_bools = BitplaneBatch::zeros(width, n);
+            for (l, f) in frames.iter().enumerate() {
+                for i in f.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i) {
+                    from_bools.set(i, l);
+                }
+            }
             let word_refs: Vec<&[u64]> = packed.frames().collect();
             let from_words = BitplaneBatch::from_packed_frames(width, &word_refs);
             assert_eq!(from_words.planes(), from_bools.planes(), "({n},{width})");
@@ -1037,16 +896,13 @@ mod tests {
 
     #[test]
     fn packed_bitplane_matches_bool_bitplane_and_packed_engine() {
-        use crate::PackedFrames;
         let net = random_net(91, &[(90, 33), (33, 7)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
+        let oracle = ScalarBackend(&net);
         for count in [0usize, 1, 63, 64, 65, 130] {
             let items = random_items(0xC0DE + count as u64, count, 90, 3);
-            let packed_items: Vec<PackedFrames> = items
-                .iter()
-                .map(|it| PackedFrames::from_bool_frames(90, it))
-                .collect();
-            let reference = p.predict_batch_bitplane(&items, 1);
+            let packed_items = pack(90, &items);
+            let reference: Vec<usize> = items.iter().map(|it| oracle.predict(it)).collect();
             for workers in [1usize, 2, 7] {
                 assert_eq!(
                     p.predict_batch_bitplane_packed(&packed_items, workers),
@@ -1055,22 +911,19 @@ mod tests {
                 );
             }
             assert_eq!(p.predict_batch_packed(&packed_items, 1), reference);
+            assert_eq!(p.predict_batch(&items, 1), reference);
         }
     }
 
     #[test]
     fn packed_group_counts_handle_mixed_frame_counts() {
-        use crate::PackedFrames;
         let net = random_net(77, &[(70, 20), (20, 5)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
+        let p = PackedSnn::from_network(&net);
         let mut st = 0xFEEDu64;
         let items: Vec<Vec<Vec<bool>>> = (0..40)
             .map(|k| (0..k % 5).map(|_| random_frame(&mut st, 70)).collect())
             .collect();
-        let packed_items: Vec<PackedFrames> = items
-            .iter()
-            .map(|it| PackedFrames::from_bool_frames(70, it))
-            .collect();
+        let packed_items = pack(70, &items);
         let mut s = BitplaneScratch::new();
         let mut counts: Vec<Vec<u32>> = vec![Vec::new(); packed_items.len()];
         p.bitplane_group_counts_packed(&packed_items, &mut s, &mut counts);
@@ -1083,8 +936,8 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn packed_group_counts_width_mismatch_panics() {
         let net = random_net(1, &[(10, 3)]);
-        let p = crate::packed::PackedSnn::from_network(&net);
-        let bad = crate::PackedFrames::from_bool_frames(9, &[vec![true; 9]]);
+        let p = PackedSnn::from_network(&net);
+        let bad = PackedFrames::from_bool_frames(9, &[vec![true; 9]]);
         let mut s = BitplaneScratch::new();
         let mut counts = vec![Vec::new()];
         p.bitplane_group_counts_packed(&[bad], &mut s, &mut counts);

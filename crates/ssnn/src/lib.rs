@@ -20,17 +20,18 @@
 //!   pulse protocol of Fig. 14;
 //! * [`bitslice`] — the bit-slice SSNN method decomposing a network into
 //!   chip-sized slices executed in time order (Fig. 15);
-//! * [`packed`] — the bit-packed XNOR/popcount inference engine: sign
-//!   columns and spike frames as `u64` words, 64 synapses per word-op,
-//!   bitwise identical to the scalar reference, with a deterministic
-//!   parallel `predict_batch`;
+//! * [`packed`] — the per-image bit-packed XNOR/popcount inference
+//!   engine: sign columns and spike frames as `u64` words, 64 synapses
+//!   per word-op, bitwise identical to the scalar reference. Requests
+//!   travel as [`PackedFrames`]; the bool entry points pack once and run
+//!   the same packed-word loop;
 //! * [`batchplane`] — the image-major bitplane batch engine: the same
 //!   bit position of up to 64 images per `u64` word, weight-stationary
 //!   sweeps amortizing mask loads across the batch, with an
 //!   AVX-512/VPOPCNTDQ tier on top of the POPCNT/AVX2 ladder;
-//! * [`backend`] — the unified [`InferenceBackend`] entry-point trait
-//!   over the scalar / packed / bitplane engines, selected at runtime by
-//!   a [`Backend`] enum;
+//! * [`backend`] — how the batch depth picks between those two engines
+//!   ([`BITPLANE_MIN_LANES`]), and the scalar oracle
+//!   ([`ScalarBackend`]) both are tested against;
 //! * [`encode`] — pulse-stream encoding for the cell-accurate chip netlist;
 //! * [`compiler`] — the offline phase of Fig. 12 tying it all together
 //!   into a [`compiler::ChipProgram`].
@@ -62,9 +63,7 @@ pub mod reload;
 pub mod stateless;
 pub mod timing;
 
-pub use backend::{
-    argmax_low, Backend, BitplaneBackend, InferenceBackend, ScalarBackend, SelectedBackend,
-};
+pub use backend::{argmax_low, ScalarBackend, BITPLANE_MIN_LANES};
 pub use batchplane::{BitplaneBatch, BitplaneScratch};
 pub use binarize::{BinarizedSnn, BinaryLayer};
 pub use bitslice::{Slice, SliceSchedule};

@@ -765,8 +765,9 @@ impl PackedLayer {
 /// [`PackedSnn::predict`] builds one internally per call; a long-running
 /// consumer (the batch engine's workers, `sushi-serve`'s inference loop)
 /// holds one per thread and passes it to
-/// [`PackedSnn::predict_with`] / [`PackedSnn::forward_counts_with`] so
-/// steady-state inference stays allocation-free across requests.
+/// [`PackedSnn::predict_packed_with`] /
+/// [`PackedSnn::forward_counts_packed_into`] so steady-state inference
+/// stays allocation-free across requests.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     x: PackedFrame,
@@ -835,10 +836,18 @@ impl PackedSnn {
         self.layers.first().expect("non-empty").inputs()
     }
 
-    fn step_scratch(&self, s: &mut PredictScratch) {
-        for layer in &self.layers {
-            layer.step_into(&s.x, &mut s.y, &mut s.acc);
-            std::mem::swap(&mut s.x, &mut s.y);
+    /// Packs bool frames at the network's input width into `buf`: the
+    /// one place a bool entry point meets the packed-word loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on input-width mismatch.
+    fn pack_into<F: AsRef<[bool]>>(&self, frames: &[F], buf: &mut PackedFrames) {
+        let width = self.input_width();
+        buf.reset(width);
+        for f in frames {
+            assert_eq!(f.as_ref().len(), width, "input width mismatch");
+            buf.push_frame_from_bools(f.as_ref());
         }
     }
 
@@ -849,55 +858,40 @@ impl PackedSnn {
     ///
     /// Panics on input-width mismatch.
     pub fn step(&self, input: &[bool]) -> Vec<bool> {
-        let mut s = PredictScratch::default();
-        s.x.fill_from_bools(input);
-        self.step_scratch(&mut s);
+        let mut frames = PackedFrames::new();
+        self.pack_into(&[input], &mut frames);
+        let mut s = PredictScratch::new();
+        self.step_scratch_words(frames.frame(0), &mut s);
         s.x.to_bools()
     }
 
-    /// [`PackedSnn::forward_counts`] with caller-owned buffers: reuse one
-    /// [`PredictScratch`] across calls to keep per-request inference
-    /// allocation-free.
+    /// Runs `frames`, returning per-class spike counts.
     ///
     /// # Panics
     ///
     /// Panics on input-width mismatch.
-    pub fn forward_counts_with(&self, frames: &[Vec<bool>], s: &mut PredictScratch) -> Vec<u32> {
-        let mut counts = vec![0u32; self.classes()];
-        for f in frames {
-            s.x.fill_from_bools(f);
-            self.step_scratch(s);
-            for (j, c) in counts.iter_mut().enumerate() {
-                *c += u32::from(s.x.get(j));
-            }
-        }
-        counts
-    }
-
-    /// Runs `frames`, returning per-class spike counts.
     pub fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        self.forward_counts_with(frames, &mut PredictScratch::default())
+        let mut packed = PackedFrames::new();
+        self.pack_into(frames, &mut packed);
+        let mut counts = Vec::new();
+        self.forward_counts_packed_into(&packed, &mut PredictScratch::new(), &mut counts);
+        counts
     }
 
     /// Predicted class for `frames` (argmax of spike counts, ties to the
     /// lowest index — the same rule as the scalar and float references).
-    pub fn predict(&self, frames: &[Vec<bool>]) -> usize {
-        argmax_low(&self.forward_counts(frames))
-    }
-
-    /// [`PackedSnn::predict`] with caller-owned buffers — the per-request
-    /// entry point of the serving layer, bitwise identical to `predict`.
     ///
     /// # Panics
     ///
     /// Panics on input-width mismatch.
-    pub fn predict_with(&self, frames: &[Vec<bool>], s: &mut PredictScratch) -> usize {
-        argmax_low(&self.forward_counts_with(frames, s))
+    pub fn predict(&self, frames: &[Vec<bool>]) -> usize {
+        argmax_low(&self.forward_counts(frames))
     }
 
-    /// Like [`PackedSnn::step_scratch`] but with the input frame borrowed
-    /// as raw packed words: the first layer consumes `xw` directly, so a
+    /// One time step of the whole network on a borrowed packed input
+    /// frame: the first layer consumes `xw` directly, so a
     /// [`PackedFrames`] payload feeds the engine with no copy at all.
+    /// The output spikes are left in `s.x`.
     fn step_scratch_words(&self, xw: &[u64], s: &mut PredictScratch) {
         let mut layers = self.layers.iter();
         layers
@@ -910,10 +904,10 @@ impl PackedSnn {
         }
     }
 
-    /// [`PackedSnn::forward_counts_with`] for an already-packed frame
-    /// sequence, written into a caller-owned `counts` buffer (cleared and
-    /// resized here) — the fully allocation-free inner loop of the
-    /// serving layer. Bitwise identical to the bool path.
+    /// Per-class spike counts of an already-packed frame sequence,
+    /// written into a caller-owned `counts` buffer (cleared and resized
+    /// here) — the fully allocation-free inner loop of the per-image
+    /// engine, which every other per-image entry point runs.
     ///
     /// # Panics
     ///
@@ -936,20 +930,10 @@ impl PackedSnn {
         }
     }
 
-    /// Per-class spike counts of an already-packed frame sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn forward_counts_packed(&self, frames: &PackedFrames) -> Vec<u32> {
-        let mut counts = Vec::new();
-        self.forward_counts_packed_into(frames, &mut PredictScratch::default(), &mut counts);
-        counts
-    }
-
     /// Predicted class of an already-packed frame sequence with
-    /// caller-owned buffers — the scratch carries its own counts buffer,
-    /// so steady-state calls allocate nothing.
+    /// caller-owned buffers — the per-request entry point of the serving
+    /// layer. The scratch carries its own counts buffer, so steady-state
+    /// calls allocate nothing.
     ///
     /// # Panics
     ///
@@ -962,9 +946,15 @@ impl PackedSnn {
         class
     }
 
-    /// [`PackedSnn::predict_batch`] for already-packed items: contiguous
-    /// near-equal chunks, one scratch per worker, input-ordered and
-    /// worker-count invariant — and bitwise identical to the bool path.
+    /// Predicts every already-packed item on a pool of scoped threads —
+    /// at most `workers` of them, clamped to the item count so a small
+    /// batch never spawns idle threads.
+    ///
+    /// Items are split into contiguous near-equal chunks, one reused
+    /// scratch buffer set per worker, and each worker writes only its own
+    /// output slots — so the result is in input order and bitwise
+    /// identical to the sequential pass for any worker count
+    /// (`workers <= 1` runs on the calling thread).
     ///
     /// # Panics
     ///
@@ -981,18 +971,11 @@ impl PackedSnn {
         preds
     }
 
-    /// Predicts every item of a dataset (one frame sequence per item) on a
-    /// pool of scoped threads — at most `workers` of them, clamped to the
-    /// item count so a small batch never spawns idle threads.
-    ///
-    /// Items are split into contiguous near-equal chunks, one reused
-    /// scratch buffer set per worker, and each worker writes only its own
-    /// output slots — so the result is in input order and bitwise
-    /// identical to the sequential pass for any worker count
-    /// (`workers <= 1` runs on the calling thread). Items may be anything
-    /// that borrows as a frame slice (`Vec<Vec<bool>>`, `&[Vec<bool>]`,
-    /// ...), so callers like `sushi-serve` can batch without copying
-    /// frames into an owned dataset.
+    /// [`PackedSnn::predict_batch_packed`] for bool items (one frame
+    /// sequence per item): each worker packs its items one at a time
+    /// into a reused [`PackedFrames`] and runs the packed-word loop.
+    /// Items may be anything that borrows as a frame slice
+    /// (`Vec<Vec<bool>>`, `&[Vec<bool>]`, ...).
     ///
     /// # Panics
     ///
@@ -1005,8 +988,10 @@ impl PackedSnn {
         let mut preds = vec![0usize; items.len()];
         fan_out(&mut preds, workers, 1, |r, out| {
             let mut s = PredictScratch::default();
+            let mut packed = PackedFrames::new();
             for (item, slot) in items[r].iter().zip(out) {
-                *slot = self.predict_with(item.as_ref(), &mut s);
+                self.pack_into(item.as_ref(), &mut packed);
+                *slot = self.predict_packed_with(&packed, &mut s);
             }
         });
         preds
@@ -1016,7 +1001,6 @@ impl PackedSnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::InferenceBackend;
     use crate::binarize::BinaryLayer;
 
     /// Deterministic xorshift for test fixtures.
@@ -1196,13 +1180,13 @@ mod tests {
         let p = PackedSnn::from_network(&net);
         let mut st = 0xCAFEu64;
         let mut s = PredictScratch::new();
+        let mut counts = Vec::new();
         for _ in 0..10 {
             let frames: Vec<Vec<bool>> = (0..4).map(|_| random_frame(&mut st, 100)).collect();
-            assert_eq!(p.predict_with(&frames, &mut s), p.predict(&frames));
-            assert_eq!(
-                p.forward_counts_with(&frames, &mut s),
-                p.forward_counts(&frames)
-            );
+            let packed = PackedFrames::from_bool_frames(100, &frames);
+            assert_eq!(p.predict_packed_with(&packed, &mut s), p.predict(&frames));
+            p.forward_counts_packed_into(&packed, &mut s, &mut counts);
+            assert_eq!(counts, p.forward_counts(&frames));
         }
     }
 
@@ -1304,11 +1288,9 @@ mod tests {
             if n_frames == 0 {
                 packed.reset(97);
             }
-            assert_eq!(
-                p.forward_counts_packed(&packed),
-                p.forward_counts(&frames),
-                "{n_frames} frames"
-            );
+            let mut counts = Vec::new();
+            p.forward_counts_packed_into(&packed, &mut PredictScratch::new(), &mut counts);
+            assert_eq!(counts, p.forward_counts(&frames), "{n_frames} frames");
             assert_eq!(p.predict_packed_with(&packed, &mut s), p.predict(&frames));
         }
     }

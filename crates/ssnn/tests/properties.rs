@@ -1,12 +1,13 @@
 //! Property-based tests on the SSNN methodology's invariants.
 
 use proptest::prelude::*;
-use sushi_ssnn::backend::{InferenceBackend, ScalarBackend};
+use sushi_ssnn::backend::ScalarBackend;
+use sushi_ssnn::batchplane::BitplaneScratch;
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::bitslice::SliceSchedule;
 use sushi_ssnn::bucketing::{analyze_excursion, bucketed_order, inhibitory_first};
 use sushi_ssnn::encode::encode_slice_step;
-use sushi_ssnn::packed::PackedSnn;
+use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 use sushi_ssnn::quantize::QuantizedLayer;
 use sushi_ssnn::stateless::{FireSemantics, SsnnExecutor};
 
@@ -258,16 +259,24 @@ proptest! {
         let items: Vec<Vec<Vec<bool>>> = (0..n_items)
             .map(|k| frames_from_seed(seed ^ (k as u64 + 17), k % 4, ins))
             .collect();
-        let counts = packed.forward_counts_bitplane(&items);
+        let packed_items: Vec<PackedFrames> = items
+            .iter()
+            .map(|it| PackedFrames::from_bool_frames(ins, it))
+            .collect();
+        let mut s = BitplaneScratch::new();
+        let mut counts = vec![Vec::new(); n_items];
+        for (group, out) in packed_items.chunks(64).zip(counts.chunks_mut(64)) {
+            packed.bitplane_group_counts_packed(group, &mut s, out);
+        }
         for (it, got) in items.iter().zip(&counts) {
             prop_assert_eq!(got, &oracle.forward_counts(it));
             prop_assert_eq!(got, &packed.forward_counts(it));
         }
-        let preds = packed.predict_batch_bitplane(&items, 1);
+        let preds = packed.predict_batch_bitplane_packed(&packed_items, 1);
         prop_assert_eq!(&preds, &packed.predict_batch(&items, 1));
         let scalar_preds: Vec<usize> = items.iter().map(|it| oracle.predict(it)).collect();
         prop_assert_eq!(&preds, &scalar_preds);
-        prop_assert_eq!(&packed.predict_batch_bitplane(&items, 3), &preds);
+        prop_assert_eq!(&packed.predict_batch_bitplane_packed(&packed_items, 3), &preds);
     }
 
     /// `predict_batch` is deterministic and input-ordered for any worker

@@ -1,18 +1,19 @@
-//! Backend selection: one network, three bitwise-identical engines.
+//! The batch depth picks the engine: one network, three bitwise-identical
+//! ways to run it.
 //!
-//! 1. Run the same images through the scalar oracle, the per-image
-//!    packed engine and the 64-lane bitplane batch engine via the
-//!    `InferenceBackend` trait, and check they agree.
-//! 2. Serve the network with `ServeConfig::backend` so deep micro-batches
-//!    take the bitplane path automatically while shallow ones fall back
-//!    to the per-image packed path.
+//! 1. Offline: the scalar oracle, the per-image packed engine and the
+//!    64-lane bitplane engine classify the same images, and must agree.
+//! 2. Served: eight clients each send their share of the images in turn
+//!    to a server whose size trigger is `BITPLANE_MIN_LANES`, so every
+//!    micro-batch is that deep and runs on the bitplane engine. The
+//!    served classes must equal the offline ones.
 //!
-//! Run with: `cargo run --release --example serve_backends`
+//! Run with: `cargo run --release -p sushi-serve --example serve_backends`
 
 use std::time::Duration;
 
-use sushi_serve::{ServeConfig, Server};
-use sushi_ssnn::{Backend, BinarizedSnn, BinaryLayer, InferenceBackend, PackedSnn};
+use sushi_serve::{PackedRequest, ServeConfig, Server};
+use sushi_ssnn::{BinarizedSnn, BinaryLayer, PackedSnn, ScalarBackend, BITPLANE_MIN_LANES};
 
 fn main() {
     // --- A small deterministic 64-32-10 network ----------------------
@@ -43,52 +44,59 @@ fn main() {
                 .collect()
         })
         .collect();
+    let requests: Vec<PackedRequest> = images
+        .iter()
+        .map(|img| PackedRequest::from_bool_frames(64, img))
+        .collect();
 
-    // --- 1. The InferenceBackend seam --------------------------------
-    println!("offline: one dataset, every backend");
-    let reference = Backend::Scalar
-        .select(&net, &packed)
-        .predict_batch(&images, 1);
-    for backend in Backend::ALL {
-        let engine = backend.select(&net, &packed);
-        let preds = engine.predict_batch(&images, 1);
-        assert_eq!(preds, reference, "backends are bitwise identical");
-        println!("  {backend:<9} first 8 classes: {:?}", &preds[..8]);
-    }
+    // --- 1. Offline: every engine agrees -----------------------------
+    let oracle = ScalarBackend(&net);
+    let reference: Vec<usize> = images.iter().map(|img| oracle.predict(img)).collect();
+    let per_image = packed.predict_batch_packed(&requests, 1);
+    let bitplane = packed.predict_batch_bitplane_packed(&requests, 1);
+    assert_eq!(per_image, reference, "per-image packed == scalar oracle");
+    assert_eq!(bitplane, reference, "bitplane == scalar oracle");
+    println!("offline: {} images, every engine agrees", images.len());
+    println!("  first 8 classes: {:?}", &reference[..8]);
 
-    // --- 2. Backend selection in the serving layer --------------------
-    // Default config: Bitplane backend, engaged once a micro-batch has
-    // coalesced at least `bitplane_min_batch` requests.
-    let cfg = ServeConfig::new()
-        .max_batch(32)
-        .max_delay(Duration::from_millis(1))
-        .workers(1)
-        .backend(Backend::Bitplane)
-        .bitplane_min_batch(4);
-    let server = Server::start(packed, cfg);
+    // --- 2. Served: deep batches take the bitplane engine ------------
+    let clients = 8;
+    let server = Server::start(
+        packed,
+        ServeConfig::new()
+            .max_batch(BITPLANE_MIN_LANES)
+            .max_delay(Duration::from_secs(60))
+            .shards(1)
+            .executors(1),
+    );
     let handle = server.handle();
     let served: Vec<usize> = std::thread::scope(|scope| {
-        let clients: Vec<_> = images
-            .chunks(12)
-            .map(|chunk| {
+        let workers: Vec<_> = requests
+            .chunks(requests.len() / clients)
+            .map(|share| {
                 let h = handle.clone();
+                let mut share = share.to_vec();
                 scope.spawn(move || -> Vec<usize> {
-                    chunk
-                        .iter()
-                        .map(|img| h.predict(img.clone()).expect("served").class)
+                    share
+                        .iter_mut()
+                        .map(|req| h.predict_packed(req).expect("served").class)
                         .collect()
                 })
             })
             .collect();
-        clients
+        workers
             .into_iter()
             .flat_map(|c| c.join().expect("client thread"))
             .collect()
     });
-    assert_eq!(served, reference, "served == offline, backend-independent");
+    assert_eq!(served, reference, "served == offline");
     let stats = server.stats();
+    assert_eq!(
+        stats.bitplane_batches, stats.batches,
+        "every micro-batch was {BITPLANE_MIN_LANES} deep"
+    );
     println!(
-        "served {} images in {} micro-batches ({} on the bitplane path)",
+        "served {} images from {clients} clients in {} micro-batches, {} on the bitplane engine",
         stats.served, stats.batches, stats.bitplane_batches
     );
 }

@@ -41,6 +41,9 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> serve_backends example (engines agree offline and when served)"
+cargo run --release -q -p sushi-serve --example serve_backends
+
 echo "==> bench metrics smoke run"
 # Capture, then grep: grep -q on a pipe would close it early and the
 # binary's println! would die on SIGPIPE.
