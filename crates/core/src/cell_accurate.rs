@@ -12,11 +12,9 @@ use sushi_arch::chip::{ChipConfig, ChipNetlist};
 use sushi_cells::{CellLibrary, Ps};
 use sushi_sim::{
     BatchReport, BatchRunner, EvalOptions, Fault, PulseTrain, SimConfig, SimError, SimOutcome,
-    Stimulus, StimulusBuilder,
 };
 use sushi_ssnn::binarize::BinaryLayer;
-use sushi_ssnn::bitslice::Slice;
-use sushi_ssnn::encode::{SliceEncoder, SETTLE_PS};
+use sushi_ssnn::encode::StepEncoder;
 
 /// A small chip whose netlist is simulated at cell granularity.
 ///
@@ -38,6 +36,8 @@ pub struct CellAccurateChip {
     library: CellLibrary,
     faults: Vec<(sushi_sim::CellId, Fault)>,
     jitter: Option<(u64, Ps)>,
+    /// Netlist input name per [`StepEncoder`] channel id, resolved once.
+    channels: Vec<String>,
 }
 
 /// Results of a batched [`CellAccurateChip::run_column_blocks`] call:
@@ -48,8 +48,7 @@ pub struct CellAccurateChip {
 pub struct CellBatchRun {
     /// Per-job results, in job order.
     pub results: Vec<CellRunResult>,
-    /// Pool metrics, present only when requested (and never on the
-    /// sequential fault/jitter fallback path).
+    /// Pool metrics, present only when requested.
     pub report: Option<BatchReport>,
 }
 
@@ -79,17 +78,27 @@ impl CellAccurateChip {
     /// chips).
     pub fn build(n: usize, sc_per_npe: usize) -> Result<Self, sushi_sim::NetlistError> {
         let design = ChipConfig::mesh(n).with_sc_per_npe(sc_per_npe).build();
+        let encoder = StepEncoder::new(n, 1u64 << sc_per_npe);
         Ok(Self {
             chip: design.build_netlist()?,
             library: CellLibrary::nb03(),
             faults: Vec::new(),
             jitter: None,
+            channels: (0..encoder.channel_count())
+                .map(|id| encoder.channel_name(id))
+                .collect(),
         })
     }
 
     /// Adds deterministic Gaussian timing jitter (fabrication spread) to
-    /// every simulated cell delay (builder style).
+    /// every simulated cell delay (builder style). The spread belongs to
+    /// the chip, so every job of a run sees the same `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigma_ps` is negative.
     pub fn with_jitter(mut self, seed: u64, sigma_ps: Ps) -> Self {
+        assert!(sigma_ps >= 0.0, "jitter sigma must be non-negative");
         self.jitter = Some((seed, sigma_ps));
         self
     }
@@ -135,7 +144,8 @@ impl CellAccurateChip {
 
     /// Runs one time step of `layer` restricted to the column block
     /// `cols`, iterating over all row blocks with counter state preserved
-    /// between them (the bit-slice method on real cells).
+    /// between them (the bit-slice method on real cells). A one-job
+    /// [`CellAccurateChip::run_column_blocks`] call on the calling thread.
     ///
     /// # Errors
     ///
@@ -151,31 +161,22 @@ impl CellAccurateChip {
         cols: Range<usize>,
         active: &[bool],
     ) -> Result<CellRunResult, SimError> {
-        let width = cols.len();
-        let (stim, end_ps) = self.block_stimulus(layer, cols, active);
-        let mut config = SimConfig::new();
-        for &(cell, fault) in &self.faults {
-            config = config.fault(cell, fault);
-        }
-        if let Some((seed, sigma)) = self.jitter {
-            config = config.jitter(seed, sigma);
-        }
-        let mut sim = config.build(&self.chip.netlist, &self.library);
-        stim.inject_into(&mut sim)?;
-        sim.run_to_completion()?;
-        Ok(Self::package(width, end_ps, sim.take_outcome()))
+        let jobs = [(cols, active.to_vec())];
+        let mut run = self.run_column_blocks(layer, &jobs, &EvalOptions::new().workers(1))?;
+        Ok(run.results.pop().expect("one job, one result"))
     }
 
     /// Runs many independent column-block time steps in one call, fanned
     /// across the [`BatchRunner`] worker pool under `opts` (worker count,
     /// optional metrics report). Each job is a `(column range, active
     /// inputs)` pair as in [`CellAccurateChip::run_column_block`]; results
-    /// come back in job order, bitwise identical to running the jobs
-    /// sequentially.
+    /// come back in job order, bitwise identical to running the jobs one
+    /// by one on fresh simulators.
     ///
-    /// Chips carrying injected faults or jitter fall back to the
-    /// sequential fault-capable path (those are verification features, not
-    /// throughput paths); that path never carries a metrics report.
+    /// Each worker builds one simulator from the chip's faults and jitter
+    /// and one [`StepEncoder`], and reuses both for its jobs: a job is
+    /// encoded on the worker that simulates it. Jitter belongs to the
+    /// chip, so every job sees the chip's seed.
     ///
     /// # Errors
     ///
@@ -191,80 +192,44 @@ impl CellAccurateChip {
         jobs: &[(Range<usize>, Vec<bool>)],
         opts: &EvalOptions,
     ) -> Result<CellBatchRun, SimError> {
-        if !self.faults.is_empty() || self.jitter.is_some() {
-            let results = jobs
-                .iter()
-                .map(|(cols, active)| self.run_column_block(layer, cols.clone(), active))
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(CellBatchRun {
-                results,
-                report: None,
-            });
-        }
-        let mut stimuli = Vec::with_capacity(jobs.len());
-        let mut meta = Vec::with_capacity(jobs.len());
         for (cols, active) in jobs {
-            let (stim, end_ps) = self.block_stimulus(layer, cols.clone(), active);
-            stimuli.push(stim);
-            meta.push((cols.len(), end_ps));
+            assert!(cols.len() <= self.n(), "column block wider than the chip");
+            assert_eq!(active.len(), layer.inputs(), "active width mismatch");
         }
         let runner = BatchRunner::new(&self.chip.netlist, &self.library)
+            .with_config(&self.sim_config())
             .with_workers(opts.resolve_workers());
-        let (outcomes, report) = if opts.report {
-            let (outcomes, report) = runner.run_with_report(&stimuli, opts.hot_top_n)?;
-            (outcomes, Some(report))
-        } else {
-            (runner.run(&stimuli)?, None)
-        };
-        let results = outcomes
+        let (staged, report) = runner.run_each(
+            jobs.len(),
+            opts.report.then_some(opts.hot_top_n),
+            || StepEncoder::new(self.n(), self.num_states()),
+            |enc, sim, i| {
+                let (cols, active) = &jobs[i];
+                let end_ps = enc.encode(layer, cols.clone(), active);
+                for (id, times) in enc.trains() {
+                    sim.inject(&self.channels[id], times)?;
+                }
+                Ok(end_ps)
+            },
+        )?;
+        let results = staged
             .into_iter()
-            .zip(meta)
-            .map(|(outcome, (width, end_ps))| Self::package(width, end_ps, outcome))
+            .zip(jobs)
+            .map(|((end_ps, outcome), (cols, _))| Self::package(cols.len(), end_ps, outcome))
             .collect();
         Ok(CellBatchRun { results, report })
     }
 
-    /// Encodes one column-block time step into a single [`Stimulus`] plus
-    /// its schedule end time.
-    fn block_stimulus(
-        &self,
-        layer: &BinaryLayer,
-        cols: Range<usize>,
-        active: &[bool],
-    ) -> (Stimulus, Ps) {
-        assert!(cols.len() <= self.n(), "column block wider than the chip");
-        assert_eq!(active.len(), layer.inputs(), "active width mismatch");
-        let n = self.n();
-        let mut enc = SliceEncoder::new(cols.len(), self.num_states());
-        // The encoder already spaces pulses per Table 1; the builder only
-        // needs to preserve its per-channel ordering.
-        let mut b = StimulusBuilder::with_min_interval(0.0);
-        let mut t = 0.0;
-        let row_blocks: Vec<Range<usize>> = (0..layer.inputs())
-            .step_by(n)
-            .map(|r0| r0..(r0 + n).min(layer.inputs()))
-            .collect();
-        let last = row_blocks.len() - 1;
-        for (rb, rows) in row_blocks.into_iter().enumerate() {
-            let slice = Slice {
-                layer: 0,
-                rows,
-                cols: cols.clone(),
-                fires: rb == last,
-            };
-            let sched = enc.next_slice(layer, &slice, active, t);
-            for (channel, times) in sched.by_channel() {
-                for &time in &times {
-                    b = b
-                        .pulse(&channel, time)
-                        .expect("encoder emits monotonic channels");
-                }
-            }
-            // A slice with no active rows emits nothing; time must still
-            // move forward monotonically.
-            t = sched.end_time().max(t) + SETTLE_PS;
+    /// The simulator configuration of this chip: its faults and jitter.
+    fn sim_config(&self) -> SimConfig {
+        let mut config = SimConfig::new();
+        for &(cell, fault) in &self.faults {
+            config = config.fault(cell, fault);
         }
-        (b.build(), t)
+        if let Some((seed, sigma)) = self.jitter {
+            config = config.jitter(seed, sigma);
+        }
+        config
     }
 
     fn package(width: usize, end_ps: Ps, outcome: SimOutcome) -> CellRunResult {
@@ -332,6 +297,9 @@ impl CellAccurateChip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sushi_sim::StimulusBuilder;
+    use sushi_ssnn::bitslice::Slice;
+    use sushi_ssnn::encode::{SliceEncoder, SETTLE_PS};
 
     #[test]
     fn single_slice_matches_expected_for_all_input_masks() {
@@ -466,7 +434,7 @@ mod tests {
     }
 
     /// Requesting a report yields pool metrics consistent with the jobs,
-    /// and the fault-injection fallback path stays report-free.
+    /// on a faulty chip too: faults take the same batched path.
     #[test]
     fn batched_blocks_report_metrics_when_asked() {
         let chip = CellAccurateChip::build(2, 3).unwrap();
@@ -479,13 +447,127 @@ mod tests {
         assert_eq!(report.items, 4);
         assert_eq!(report.hot_cells.len(), 3);
         assert!(report.events_delivered > 0);
-        // Fault fallback: same jobs, but the sequential path carries no report.
+        // A faulty chip reports as well, and its batch equals its per-job runs.
         let broken = CellAccurateChip::build(2, 3)
             .unwrap()
             .with_fault("npe0.sc2.cb_out", Fault::DropOutput);
-        let fallback = broken.run_column_blocks(&layer, &jobs, &opts).unwrap();
-        assert!(fallback.report.is_none());
-        assert_eq!(fallback.results.len(), 4);
+        let faulty = broken.run_column_blocks(&layer, &jobs, &opts).unwrap();
+        assert!(faulty.report.is_some());
+        assert_eq!(faulty.results.len(), 4);
+        for ((cols, active), got) in jobs.iter().zip(&faulty.results) {
+            let per_job = broken
+                .run_column_block(&layer, cols.clone(), active)
+                .unwrap();
+            assert_eq!(*got, per_job);
+        }
+    }
+
+    /// The string-keyed encoding and a fresh simulator per job built from
+    /// the chip's faults and jitter: the semantics every batched run must
+    /// reproduce.
+    fn fresh_run(
+        chip: &CellAccurateChip,
+        layer: &BinaryLayer,
+        cols: Range<usize>,
+        active: &[bool],
+    ) -> CellRunResult {
+        let n = chip.n();
+        let mut enc = SliceEncoder::new(cols.len(), chip.num_states());
+        let mut b = StimulusBuilder::with_min_interval(0.0);
+        let mut t = 0.0;
+        for r0 in (0..layer.inputs()).step_by(n) {
+            let rows = r0..(r0 + n).min(layer.inputs());
+            let fires = rows.end == layer.inputs();
+            let slice = Slice {
+                layer: 0,
+                rows,
+                cols: cols.clone(),
+                fires,
+            };
+            let sched = enc.next_slice(layer, &slice, active, t);
+            for (channel, times) in sched.by_channel() {
+                for time in times {
+                    b = b.pulse(&channel, time).unwrap();
+                }
+            }
+            t = sched.end_time().max(t) + SETTLE_PS;
+        }
+        let mut sim = chip.sim_config().build(&chip.chip.netlist, &chip.library);
+        b.build().inject_into(&mut sim).unwrap();
+        sim.run_to_completion().unwrap();
+        CellAccurateChip::package(cols.len(), t, sim.take_outcome())
+    }
+
+    /// Faulty and jittered chips take the batched path, and at every
+    /// worker count, with and without a report, it equals per-job runs
+    /// and fresh simulators bitwise. Identical jobs at different indices
+    /// get identical results: every job sees the chip's jitter seed.
+    #[test]
+    fn faulty_and_jittered_batches_match_per_job_runs() {
+        let signs = vec![1, 1, -1, 1, -1, 1, 1, 1, 1, -1, 1, 1, 1, 1, -1, 1, 1, 1];
+        let layer = BinaryLayer::from_signs(signs, 6, 3, vec![2, 1, 3]);
+        let mut jobs: Vec<(Range<usize>, Vec<bool>)> = (0..6u32)
+            .flat_map(|mask| {
+                let active: Vec<bool> = (0..6).map(|b| (mask + 1) >> (b % 3) & 1 == 1).collect();
+                [(0..2, active.clone()), (2..3, active)]
+            })
+            .collect();
+        jobs.push(jobs[0].clone());
+        let healthy = CellAccurateChip::build(2, 3).unwrap();
+        let faulty = CellAccurateChip::build(2, 3)
+            .unwrap()
+            .with_fault("npe0.sc2.cb_out", Fault::DropOutput);
+        let jittered = CellAccurateChip::build(2, 3).unwrap().with_jitter(7, 2.0);
+        let nominal: Vec<CellRunResult> = jobs
+            .iter()
+            .map(|(cols, active)| {
+                healthy
+                    .run_column_block(&layer, cols.clone(), active)
+                    .unwrap()
+            })
+            .collect();
+        for (name, chip) in [("faulty", &faulty), ("jittered", &jittered)] {
+            let per_job: Vec<CellRunResult> = jobs
+                .iter()
+                .map(|(cols, active)| chip.run_column_block(&layer, cols.clone(), active).unwrap())
+                .collect();
+            for ((cols, active), got) in jobs.iter().zip(&per_job) {
+                assert_eq!(
+                    *got,
+                    fresh_run(chip, &layer, cols.clone(), active),
+                    "{name}"
+                );
+            }
+            assert_eq!(per_job[0], per_job[jobs.len() - 1], "{name}");
+            assert_ne!(
+                per_job, nominal,
+                "{name} chip must differ from the healthy one"
+            );
+            for workers in [1, 2, 3] {
+                for report in [false, true] {
+                    let opts = EvalOptions::new().workers(workers).report(report);
+                    let run = chip.run_column_blocks(&layer, &jobs, &opts).unwrap();
+                    assert_eq!(
+                        run.results, per_job,
+                        "{name} workers={workers} report={report}"
+                    );
+                    assert_eq!(run.report.is_some(), report, "{name}");
+                }
+            }
+        }
+    }
+
+    /// Every channel id the step encoder can emit names an input of the
+    /// chip netlist.
+    #[test]
+    fn every_encoder_channel_is_a_chip_input() {
+        for (n, sc) in [(1, 3), (2, 3), (4, 6)] {
+            let chip = CellAccurateChip::build(n, sc).unwrap();
+            let inputs = chip.chip.netlist.inputs();
+            for name in &chip.channels {
+                assert!(inputs.contains_key(name), "{name} on {n}x{n}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! worker via [`Simulator::reset`], and merges the per-item
 //! [`SimOutcome`]s back in input order.
 //!
+//! Every entry point goes through [`BatchRunner::run_each`]: a worker
+//! builds its simulator once from the runner's [`SimConfig`] (faults,
+//! jitter, event limit), and for each of its items resets it, lets a
+//! caller-supplied stage inject the item's pulses (encoding them on the
+//! worker if need be, into per-worker scratch), and runs it.
+//!
 //! # Determinism
 //!
 //! Results are bitwise identical to running every item sequentially on a
@@ -16,9 +22,11 @@
 //! - [`Simulator::reset`] rewinds *all* dynamic state, including the event
 //!   sequence counter and the jitter RNG, so a reused simulator behaves
 //!   exactly like a fresh one.
-//! - When jitter is enabled, each item gets its own stream seeded by
-//!   [`item_seed`] — a pure function of the base seed and the item's input
-//!   index, not of which worker ran it.
+//! - Jitter set through [`BatchRunner::with_jitter`] gives each item its
+//!   own stream seeded by [`item_seed`] — a pure function of the base seed
+//!   and the item's input index, not of which worker ran it. Jitter in the
+//!   runner's [`SimConfig`] instead models one chip: every item sees the
+//!   config's seed, as a fresh simulator built from that config would.
 //! - Items are assigned to workers in contiguous chunks and each worker
 //!   writes only its own output slots, so the merged vector is in input
 //!   order by construction. Errors are reported for the earliest input
@@ -54,12 +62,14 @@
 //! assert_eq!(counts, vec![1, 2, 3, 4]);
 //! ```
 
-use crate::engine::{SimError, SimOutcome, Simulator};
+use crate::config::SimConfig;
+use crate::engine::{Fault, SimError, SimOutcome, Simulator};
 use crate::json::Json;
-use crate::netlist::Netlist;
+use crate::netlist::{CellId, Netlist};
 use crate::observe::{ActivityProfiler, HotCellEntry};
 use crate::stimulus::Stimulus;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::time::Instant;
 use sushi_cells::{CellLibrary, Ps};
 use sushi_par::fan_out;
@@ -80,31 +90,69 @@ pub fn item_seed(base: u64, index: usize) -> u64 {
 pub struct BatchRunner<'a> {
     netlist: &'a Netlist,
     library: &'a CellLibrary,
-    workers: usize,
+    /// `None` = one per available CPU, looked up when a batch runs (the
+    /// lookup reads cgroup files, so a count set later never pays it).
+    workers: Option<usize>,
+    faults: Vec<(CellId, Fault)>,
     event_limit: Option<u64>,
-    jitter: Option<(u64, Ps)>,
+    jitter: Option<Jitter>,
 }
+
+/// A runner's timing jitter.
+#[derive(Debug, Clone, Copy)]
+struct Jitter {
+    seed: u64,
+    sigma_ps: Ps,
+    /// [`BatchRunner::with_jitter`]: item `i` streams from
+    /// [`item_seed`]`(seed, i)`. Otherwise ([`BatchRunner::with_config`])
+    /// the jitter is one chip's and every item streams from `seed`.
+    per_item: bool,
+}
+
+/// What [`BatchRunner::run_each`] returns: every item's staged value
+/// beside its outcome, in input order, and the report if one was asked
+/// for.
+pub type StagedBatch<T> = (Vec<(T, SimOutcome)>, Option<BatchReport>);
+
+/// One worker's share of a batch: its item range, its activity profile
+/// when a report was asked for, and its busy wall time in seconds.
+type WorkerChunk = (Range<usize>, Option<ActivityProfiler>, f64);
 
 impl<'a> BatchRunner<'a> {
     /// A runner over `netlist`/`library` using one worker per available
     /// CPU.
     pub fn new(netlist: &'a Netlist, library: &'a CellLibrary) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
         Self {
             netlist,
             library,
-            workers,
+            workers: None,
+            faults: Vec::new(),
             event_limit: None,
             jitter: None,
         }
     }
 
+    /// Builds every worker's simulator as `config` builds one (builder
+    /// style), replacing the faults, event limit and jitter set so far.
+    /// Config jitter models one chip: every item starts from the config's
+    /// seed (a reset rewinds the draws), exactly as on a fresh simulator
+    /// built from `config`. An observer in `config` is not used; use
+    /// [`BatchRunner::run_with_report`] for pool metrics.
+    pub fn with_config(mut self, config: &SimConfig) -> Self {
+        self.faults = config.faults().to_vec();
+        self.event_limit = config.event_limit_value();
+        self.jitter = config.jitter_params().map(|(seed, sigma_ps)| Jitter {
+            seed,
+            sigma_ps,
+            per_item: false,
+        });
+        self
+    }
+
     /// Sets the worker count (builder style). Clamped to at least 1; one
     /// worker means the batch runs on the calling thread.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -122,41 +170,109 @@ impl<'a> BatchRunner<'a> {
     /// Panics if `sigma_ps` is negative.
     pub fn with_jitter(mut self, base_seed: u64, sigma_ps: Ps) -> Self {
         assert!(sigma_ps >= 0.0, "jitter sigma must be non-negative");
-        self.jitter = Some((base_seed, sigma_ps));
+        self.jitter = Some(Jitter {
+            seed: base_seed,
+            sigma_ps,
+            per_item: true,
+        });
         self
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 
     fn make_simulator(&self) -> Simulator<'a> {
         let mut sim = Simulator::new(self.netlist, self.library);
+        for &(cell, fault) in &self.faults {
+            sim.set_fault(cell, fault);
+        }
         if let Some(limit) = self.event_limit {
             sim.set_event_limit(limit);
         }
-        if let Some((seed, sigma)) = self.jitter {
-            // Per-item reseeding happens in `run_item`; the base seed here
-            // only makes the builder state explicit.
-            sim.set_jitter(seed, sigma);
+        if let Some(j) = self.jitter {
+            // Per-item reseeding happens in `run_item`; for per-item jitter
+            // the base seed here only makes the builder state explicit.
+            sim.set_jitter(j.seed, j.sigma_ps);
         }
         sim
     }
 
-    fn run_item(
+    fn run_item<T>(
         &self,
         sim: &mut Simulator<'a>,
         index: usize,
-        item: &Stimulus,
-    ) -> Result<SimOutcome, SimError> {
+        stage: impl FnOnce(&mut Simulator<'a>) -> Result<T, SimError>,
+    ) -> Result<(T, SimOutcome), SimError> {
         sim.reset();
-        if let Some((base, _)) = self.jitter {
-            sim.reseed_jitter(item_seed(base, index));
+        if let Some(Jitter {
+            seed,
+            per_item: true,
+            ..
+        }) = self.jitter
+        {
+            sim.reseed_jitter(item_seed(seed, index));
         }
-        item.inject_into(sim)?;
+        let staged = stage(sim)?;
         sim.run_to_completion()?;
-        Ok(sim.take_outcome())
+        Ok((staged, sim.take_outcome()))
+    }
+
+    /// Runs `count` items, the one implementation behind every other
+    /// entry point. Each worker makes one `scratch` value and one
+    /// simulator and reuses both across its items. Item `i` runs on the
+    /// freshly reset simulator after `stage(scratch, sim, i)` has injected
+    /// its pulses; the value `stage` returns comes back beside the item's
+    /// outcome, in input order. With `hot_top_n` set, a [`BatchReport`]
+    /// with that many hot cells is collected as in
+    /// [`BatchRunner::run_with_report`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the earliest-indexed item whose stage or run
+    /// failed.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from `scratch`, `stage` or a worker thread.
+    pub fn run_each<S, T: Send>(
+        &self,
+        count: usize,
+        hot_top_n: Option<usize>,
+        scratch: impl Fn() -> S + Sync,
+        stage: impl Fn(&mut S, &mut Simulator<'a>, usize) -> Result<T, SimError> + Sync,
+    ) -> Result<StagedBatch<T>, SimError> {
+        let t0 = Instant::now();
+        let mut slots: Vec<Option<Result<(T, SimOutcome), SimError>>> =
+            std::iter::repeat_with(|| None).take(count).collect();
+        let chunks = fan_out(&mut slots, self.workers(), 1, |r, out| {
+            let w0 = Instant::now();
+            let mut sim = self.make_simulator();
+            if hot_top_n.is_some() {
+                sim.attach_observer(ActivityProfiler::new());
+            }
+            let mut scratch = scratch();
+            for (i, slot) in r.clone().zip(out) {
+                *slot = Some(self.run_item(&mut sim, i, |sim| stage(&mut scratch, sim, i)));
+            }
+            let profiler = hot_top_n.map(|_| {
+                sim.take_observer_as::<ActivityProfiler>()
+                    .expect("worker attached a profiler")
+            });
+            (r, profiler, w0.elapsed().as_secs_f64())
+        });
+        let wall_s = t0.elapsed().as_secs_f64();
+        let items = slots
+            .into_iter()
+            .map(|slot| slot.expect("every slot written by its worker"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let report = hot_top_n.map(|top_n| self.report(&items, chunks, wall_s, top_n));
+        Ok((items, report))
     }
 
     /// Runs every item and returns the outcomes in input order.
@@ -171,17 +287,8 @@ impl<'a> BatchRunner<'a> {
     /// Propagates a panic from a worker thread (none originate in the
     /// simulator itself).
     pub fn run(&self, items: &[Stimulus]) -> Result<Vec<SimOutcome>, SimError> {
-        let mut slots: Vec<Option<Result<SimOutcome, SimError>>> = vec![None; items.len()];
-        fan_out(&mut slots, self.workers, 1, |r, out| {
-            let mut sim = self.make_simulator();
-            for ((i, item), slot) in r.clone().zip(&items[r]).zip(out) {
-                *slot = Some(self.run_item(&mut sim, i, item));
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every slot written by its worker"))
-            .collect()
+        let (outcomes, _) = self.run_stimuli(items, None)?;
+        Ok(outcomes)
     }
 
     /// Runs every item on the calling thread — the reference semantics the
@@ -195,7 +302,10 @@ impl<'a> BatchRunner<'a> {
         items
             .iter()
             .enumerate()
-            .map(|(i, item)| self.run_item(&mut sim, i, item))
+            .map(|(i, item)| {
+                self.run_item(&mut sim, i, |sim| item.inject_into(sim))
+                    .map(|((), outcome)| outcome)
+            })
             .collect()
     }
 
@@ -221,35 +331,47 @@ impl<'a> BatchRunner<'a> {
         items: &[Stimulus],
         hot_top_n: usize,
     ) -> Result<(Vec<SimOutcome>, BatchReport), SimError> {
-        let t0 = Instant::now();
-        let mut slots: Vec<Option<Result<SimOutcome, SimError>>> = vec![None; items.len()];
-        // Per worker: its item range, activity profile and busy wall time.
-        let chunks = fan_out(&mut slots, self.workers, 1, |r, out| {
-            let w0 = Instant::now();
-            let mut sim = self.make_simulator();
-            sim.attach_observer(ActivityProfiler::new());
-            for ((i, item), slot) in r.clone().zip(&items[r.clone()]).zip(out) {
-                *slot = Some(self.run_item(&mut sim, i, item));
-            }
-            let profiler = sim
-                .take_observer_as::<ActivityProfiler>()
-                .expect("worker attached a profiler");
-            (r, profiler, w0.elapsed().as_secs_f64())
-        });
-        let wall_s = t0.elapsed().as_secs_f64();
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| slot.expect("every slot written by its worker"))
-            .collect::<Result<Vec<_>, _>>()?;
+        let (outcomes, report) = self.run_stimuli(items, Some(hot_top_n))?;
+        Ok((outcomes, report.expect("report requested")))
+    }
 
+    fn run_stimuli(
+        &self,
+        items: &[Stimulus],
+        hot_top_n: Option<usize>,
+    ) -> Result<(Vec<SimOutcome>, Option<BatchReport>), SimError> {
+        let (staged, report) = self.run_each(
+            items.len(),
+            hot_top_n,
+            || (),
+            |_, sim, i| items[i].inject_into(sim),
+        )?;
+        Ok((staged.into_iter().map(|((), o)| o).collect(), report))
+    }
+
+    /// Assembles the report of a finished batch from its items and the
+    /// workers' chunks.
+    fn report<T>(
+        &self,
+        items: &[(T, SimOutcome)],
+        chunks: Vec<WorkerChunk>,
+        wall_s: f64,
+        hot_top_n: usize,
+    ) -> BatchReport {
         let mut merged = ActivityProfiler::new();
         let mut workers = Vec::new();
         for (wi, (r, profiler, worker_wall_s)) in chunks.into_iter().enumerate() {
-            let chunk_out = &outcomes[r];
-            merged.merge(&profiler);
-            let events_delivered = chunk_out.iter().map(|o| o.stats.events_delivered).sum();
-            let sim_time_ps = chunk_out.iter().map(|o| o.stats.final_time_ps).sum();
-            let violations = chunk_out.iter().map(|o| o.violations.len() as u64).sum();
+            let chunk_out = &items[r];
+            merged.merge(&profiler.expect("report runs attach a profiler"));
+            let events_delivered = chunk_out
+                .iter()
+                .map(|(_, o)| o.stats.events_delivered)
+                .sum();
+            let sim_time_ps = chunk_out.iter().map(|(_, o)| o.stats.final_time_ps).sum();
+            let violations = chunk_out
+                .iter()
+                .map(|(_, o)| o.violations.len() as u64)
+                .sum();
             workers.push(WorkerMetrics {
                 worker: wi,
                 items: chunk_out.len(),
@@ -266,7 +388,7 @@ impl<'a> BatchRunner<'a> {
         }
         let max_wall = workers.iter().map(|w| w.wall_s).fold(0.0, f64::max);
         let busy: f64 = workers.iter().map(|w| w.wall_s).sum();
-        let report = BatchReport {
+        BatchReport {
             items: items.len(),
             events_delivered: workers.iter().map(|w| w.events_delivered).sum(),
             sim_time_ps: workers.iter().map(|w| w.sim_time_ps).sum(),
@@ -284,8 +406,7 @@ impl<'a> BatchRunner<'a> {
             },
             hot_cells: merged.hot_cells(self.netlist, self.library, hot_top_n),
             workers,
-        };
-        Ok((outcomes, report))
+        }
     }
 }
 

@@ -97,11 +97,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first malformed construct.
+    /// Returns a [`JsonError`] describing the first malformed construct,
+    /// including arrays and objects nested more than 128 levels deep (the
+    /// parser recurses once per level, so hostile input must not reach the
+    /// end of the stack).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -191,9 +195,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts; every
+/// report the workspace writes stays within a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -243,11 +253,25 @@ impl Parser<'_> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'"' => self.string().map(Json::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -441,5 +465,38 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         let err = Json::parse("[1, nope]").unwrap_err();
         assert!(err.to_string().contains("byte"), "{err}");
+    }
+
+    /// Regression: a million nested brackets once overflowed the stack and
+    /// aborted the process; now they are a structured error at the first
+    /// bracket past the limit.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(
+            err.message.contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+        let objects = "{\"k\":".repeat(1_000_000);
+        assert!(Json::parse(&objects).unwrap_err().message.contains("128"));
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &Json::parse(&at_limit).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_arr().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Arr(vec![]));
+        let mixed = format!(
+            "{}{}",
+            "{\"k\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 }

@@ -1,12 +1,14 @@
 //! Property-based tests on the SSNN methodology's invariants.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use sushi_sim::StimulusBuilder;
 use sushi_ssnn::backend::ScalarBackend;
 use sushi_ssnn::batchplane::BitplaneScratch;
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
-use sushi_ssnn::bitslice::SliceSchedule;
+use sushi_ssnn::bitslice::{Slice, SliceSchedule};
 use sushi_ssnn::bucketing::{analyze_excursion, bucketed_order, inhibitory_first};
-use sushi_ssnn::encode::encode_slice_step;
+use sushi_ssnn::encode::{encode_slice_step, SliceEncoder, StepEncoder, SETTLE_PS};
 use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 use sushi_ssnn::quantize::QuantizedLayer;
 use sushi_ssnn::stateless::{FireSemantics, SsnnExecutor};
@@ -316,5 +318,73 @@ proptest! {
         let active: Vec<bool> = (0..ins).map(|i| mask >> (i % 64) & 1 == 1).collect();
         let sched = encode_slice_step(&layer, &slice, &active, 256, 0.0);
         prop_assert!(sched.validate().is_empty(), "{:?}", sched.validate());
+    }
+
+    /// The id-keyed step encoder equals the named path that the benchmark's
+    /// traced replay still takes (`SliceEncoder::next_slice` ->
+    /// `by_channel` -> `StimulusBuilder`): the same pulse times per channel
+    /// and a bitwise-equal end time. Layers mix zero signs in (open
+    /// switches, so `sw_rst` pulses appear), chips are 1..=8 wide on 3- to
+    /// 6-bit counters, column blocks may be narrower than the chip, and
+    /// densities run from 0 to 100%. Each encoder runs two steps in a row,
+    /// so reuse must not leak state from one step into the next.
+    #[test]
+    fn step_encoder_matches_named_slice_path(
+        k_bits in 3usize..7,
+        n in 1usize..9,
+        ins in 1usize..40,
+        outs in 1usize..12,
+        seed in any::<u64>(),
+        density in 0u64..101,
+    ) {
+        let num_states = 1u64 << k_bits;
+        // A row block must fit the counter: n < 2^k.
+        let n = n.min(num_states as usize - 1);
+        let mut st = seed | 1;
+        let mut next = move || {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            st
+        };
+        let signs: Vec<i8> = (0..ins * outs).map(|_| (next() % 3) as i8 - 1).collect();
+        let thresholds: Vec<i64> = (0..outs).map(|_| (next() % 80) as i64 - 4).collect();
+        let layer = BinaryLayer::from_signs(signs, ins, outs, thresholds);
+        let mut enc = StepEncoder::new(n, num_states);
+        for step in 0..2 {
+            let c0 = (next() % outs as u64) as usize;
+            let width = 1 + (next() % n.min(outs - c0) as u64) as usize;
+            let cols = c0..c0 + width;
+            let active: Vec<bool> = (0..ins).map(|_| next() % 100 < density).collect();
+
+            let end_ps = enc.encode(&layer, cols.clone(), &active);
+            let by_id: BTreeMap<String, Vec<u64>> = enc
+                .trains()
+                .map(|(id, times)| (enc.channel_name(id), times.iter().map(|t| t.to_bits()).collect()))
+                .collect();
+
+            let mut named = SliceEncoder::new(width, num_states);
+            let mut b = StimulusBuilder::with_min_interval(0.0);
+            let mut t = 0.0;
+            for r0 in (0..ins).step_by(n) {
+                let rows = r0..(r0 + n).min(ins);
+                let fires = rows.end == ins;
+                let slice = Slice { layer: 0, rows, cols: cols.clone(), fires };
+                let sched = named.next_slice(&layer, &slice, &active, t);
+                for (channel, times) in sched.by_channel() {
+                    for time in times {
+                        b = b.pulse(&channel, time).expect("encoder emits monotonic channels");
+                    }
+                }
+                t = sched.end_time().max(t) + SETTLE_PS;
+            }
+            let by_name: BTreeMap<String, Vec<u64>> = b
+                .build()
+                .iter()
+                .map(|(ch, times)| (ch.to_owned(), times.iter().map(|t| t.to_bits()).collect()))
+                .collect();
+            prop_assert_eq!(&by_id, &by_name, "step {}", step);
+            prop_assert_eq!(end_ps.to_bits(), t.to_bits(), "step {}", step);
+        }
     }
 }

@@ -7,7 +7,10 @@
 //! cell is caught, and the traces export as standard VCD for any waveform
 //! viewer.
 //!
-//! Run with: `cargo run --release --example fault_and_jitter`
+//! The example is also a gate: it exits non-zero unless the healthy chip
+//! and jitter seeds 0–2 verify and the dead cell is caught.
+//!
+//! Run with: `cargo run --release -p sushi-core --example fault_and_jitter`
 
 use sushi_cells::{CellKind, CellLibrary, PortName};
 use sushi_core::CellAccurateChip;
@@ -29,35 +32,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nominal.fired, nominal.violations
     );
     println!("simulation:     fired {expected:?}");
+    let mut failures = Vec::new();
+    if nominal.fired != expected || nominal.violations != 0 {
+        failures.push("the healthy chip does not verify".to_owned());
+    }
 
     // --- Fabrication spread: 2 ps sigma on every cell delay ----------
     for seed in 0..3u64 {
         let jittery = CellAccurateChip::build(2, 4)?.with_jitter(seed, 2.0);
         let run = jittery.run_column_block(&layer, 0..2, &active)?;
+        let verified = run.fired == expected && run.violations == 0;
         println!(
             "jitter seed {seed}: fired {:?}, violations {} -> {}",
             run.fired,
             run.violations,
-            if run.fired == expected && run.violations == 0 {
-                "VERIFIED"
-            } else {
-                "REJECTED"
-            }
+            if verified { "VERIFIED" } else { "REJECTED" }
         );
+        if !verified {
+            failures.push(format!("jitter seed {seed} does not verify"));
+        }
     }
 
     // --- A dead output cell in NPE0's final state controller ---------
     let broken = CellAccurateChip::build(2, 4)?.with_fault("npe0.sc3.cb_out", Fault::DropOutput);
     let bad = broken.run_column_block(&layer, 0..2, &active)?;
+    let caught = bad.fired != expected;
     println!(
         "faulty chip:    fired {:?} -> {}",
         bad.fired,
-        if bad.fired == expected {
-            "escaped detection (!)"
-        } else {
+        if caught {
             "DEFECT CAUGHT"
+        } else {
+            "escaped detection (!)"
         }
     );
+    if !caught {
+        failures.push("the dead cell escaped detection".to_owned());
+    }
 
     // --- VCD export of a state-controller trace ----------------------
     let mut n = Netlist::new();
@@ -91,5 +102,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for ev in events.iter().skip(events.len().saturating_sub(5)) {
         println!("  t={:7.1} ps  {:?}", ev.time, ev.what);
     }
-    Ok(())
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; ").into())
+    }
 }

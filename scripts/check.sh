@@ -44,6 +44,9 @@ cargo test -q
 echo "==> serve_backends example (engines agree offline and when served)"
 cargo run --release -q -p sushi-serve --example serve_backends
 
+echo "==> fault_and_jitter example (jittered chips verify, a dead cell is caught)"
+cargo run --release -q -p sushi-core --example fault_and_jitter
+
 echo "==> bench metrics smoke run"
 # Capture, then grep: grep -q on a pipe would close it early and the
 # binary's println! would die on SIGPIPE.

@@ -120,3 +120,25 @@ fn sim_config_observer_matches_run_stats() {
     assert_eq!(profiler.total_deliveries(), delivered);
     assert_eq!(profiler.runs(), 1);
 }
+
+/// The repository's own JSON documents (the benchmark declaration, the
+/// benchmark's golden totals and the tracked bench baselines) parse
+/// within the parser's nesting limit.
+#[test]
+fn repository_json_documents_parse() {
+    for (name, text) in [
+        ("BENCHMARK.json", include_str!("../BENCHMARK.json")),
+        (
+            "perfbench/golden/verify.json",
+            include_str!("../perfbench/golden/verify.json"),
+        ),
+        ("BENCH_sim.json", include_str!("../BENCH_sim.json")),
+        ("BENCH_ssnn.json", include_str!("../BENCH_ssnn.json")),
+        ("BENCH_serve.json", include_str!("../BENCH_serve.json")),
+        ("BENCH_train.json", include_str!("../BENCH_train.json")),
+    ] {
+        if let Err(e) = Json::parse(text) {
+            panic!("{name}: {e}");
+        }
+    }
+}
