@@ -17,7 +17,7 @@
 //! [`ShiftRegister`] generator with its counter-flow clock tree (plus a
 //! behavioural model), and the analytical [`SyncAccelerator`] model
 //! (SuperNPU-like) whose resource split and sustained throughput reproduce
-//! the motivation numbers. The `ablations` bench compares it against
+//! the motivation numbers. `experiments sync` compares it against
 //! SUSHI's asynchronous design.
 
 use crate::resources::{Category, ResourceReport};

@@ -13,7 +13,6 @@ use sushi_core::SushiChip;
 use sushi_sim::EvalOptions;
 use sushi_snn::data::synth_digits;
 use sushi_snn::train::{TrainConfig, Trainer};
-use sushi_ssnn::backend::ScalarBackend;
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
 use sushi_ssnn::packed::{PackedFrames, PackedSnn};
@@ -71,18 +70,17 @@ fn spike_images(seed: u64, count: usize) -> Vec<Vec<Vec<bool>>> {
 fn bench_ssnn_packed(c: &mut Criterion) {
     let net = paper_shape_net(0xD1CE);
     let packed = PackedSnn::from_network(&net);
-    let scalar = ScalarBackend(&net);
     let images = spike_images(0xACED, SSNN_IMAGES);
     // Sanity: the packed engine is a bitwise drop-in before we time it.
     for img in &images {
-        assert_eq!(packed.predict(img), scalar.predict(img));
+        assert_eq!(packed.predict(img), net.predict_scalar(img));
     }
 
     let mut g = c.benchmark_group("ssnn_packed");
     g.measurement_time(Duration::from_secs(3)).sample_size(20);
     g.throughput(Throughput::Elements(SSNN_IMAGES as u64));
     g.bench_function("scalar_predict_784_800_10", |b| {
-        b.iter(|| -> usize { images.iter().map(|img| scalar.predict(img)).sum() })
+        b.iter(|| -> usize { images.iter().map(|img| net.predict_scalar(img)).sum() })
     });
     g.bench_function("packed_predict_784_800_10", |b| {
         b.iter(|| -> usize { images.iter().map(|img| packed.predict(img)).sum() })

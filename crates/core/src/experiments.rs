@@ -14,11 +14,11 @@ use std::time::Instant;
 use sushi_arch::chip::{ChipConfig, WeightConfig};
 use sushi_arch::{PerfModel, ResourceReport};
 use sushi_cells::{CellKind, CellLibrary};
+use sushi_par::{cpu_tier, CpuTier};
 use sushi_sim::{BatchReport, EvalOptions, PulseTrain};
 use sushi_snn::data::{synth_digits, synth_fashion, Dataset};
 use sushi_snn::metrics::consistency;
 use sushi_snn::train::{TrainConfig, TrainedSnn, Trainer};
-use sushi_ssnn::backend::ScalarBackend;
 use sushi_ssnn::bucketing::{bucketed_order, inhibitory_first, worst_case_excursion};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
 use sushi_ssnn::packed::{PackedFrames, PackedSnn};
@@ -317,7 +317,8 @@ pub fn fig16_with_report(want_report: bool) -> (Fig16Result, Option<BatchReport>
     let sample = (0..test.len())
         .find(|&i| {
             let frames = program.encode_input(&test.images[i], i as u64);
-            program.net.forward_counts(&frames).iter().any(|&c| c > 0)
+            let counts = program.net.forward_counts_scalar(&frames);
+            counts.iter().any(|&c| c > 0)
         })
         .unwrap_or(0);
     let frames = program.encode_input(&test.images[sample], sample as u64);
@@ -655,7 +656,7 @@ pub fn conv_demo() -> String {
         let frame: Vec<bool> = (0..16)
             .map(|i| (seed.wrapping_mul(i as u32 + 5)) % 3 == 0)
             .collect();
-        let behavioural = net.step(&frame);
+        let behavioural = net.step_scalar(&frame);
         all_match &= sched.sliced_step(&net, &frame) == behavioural;
         let mut cell = Vec::new();
         let mut expected = Vec::new();
@@ -944,7 +945,6 @@ pub fn bench_metrics(scale: Scale) -> String {
         .iter()
         .map(|img| PackedFrames::from_bool_frames(width, img))
         .collect();
-    let oracle = ScalarBackend(&program.net);
     let reps = 5;
     let race = |engine: &dyn Fn() -> Vec<usize>| {
         let t = Instant::now();
@@ -955,7 +955,9 @@ pub fn bench_metrics(scale: Scale) -> String {
         let rate = (reps * frames.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
         (rate, p)
     };
-    let (scalar_rate, scalar_preds) = race(&|| frames.iter().map(|f| oracle.predict(f)).collect());
+    let net = &program.net;
+    let (scalar_rate, scalar_preds) =
+        race(&|| frames.iter().map(|f| net.predict_scalar(f)).collect());
     let (packed_rate, offline) = race(&|| packed.predict_batch_packed(&requests, 1));
     let (bitplane_rate, bitplane_preds) =
         race(&|| packed.predict_batch_bitplane_packed(&requests, 1));
@@ -1056,15 +1058,21 @@ pub fn bench_metrics(scale: Scale) -> String {
         tmlp.backward_with(&frames, &targets, &mut ws);
     }
     let bwd_rate = (treps * samples.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
+    // The matmul kernels have a baseline and an AVX2 build only.
+    let matmul_tier = if cpu_tier() >= CpuTier::Avx2 {
+        CpuTier::Avx2
+    } else {
+        CpuTier::Baseline
+    };
     out.push_str(&format!(
         "\n## Bench: training kernels (SIMD + pooled BPTT)\n\
          batch {} x{} reps | forward {:.0} samples/s | backward {:.0} samples/s | \
-         simd tier: {} | pool workers: {}\n",
+         matmul tier: {} | pool workers: {}\n",
         samples.len(),
         treps,
         fwd_rate,
         bwd_rate,
-        sushi_snn::tensor::simd_tier(),
+        matmul_tier.name(),
         sushi_snn::WorkerPool::shared().workers(),
     ));
     out

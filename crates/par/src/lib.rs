@@ -23,8 +23,75 @@
 //! assert_eq!(squares, [9, 1, 16, 1, 25, 81, 4]);
 //! assert_eq!(lens, [3, 2, 2]);
 //! ```
+//!
+//! The crate also holds the workspace's one CPU-feature probe,
+//! [`cpu_tier`]: every SIMD kernel (the packed and bitplane popcount
+//! sweeps, the training matmuls) matches on the [`CpuTier`] it returns
+//! instead of probing features itself.
 
 use std::ops::Range;
+use std::sync::OnceLock;
+
+/// The nested CPU feature tiers the workspace's SIMD kernels are
+/// compiled for. Each tier implies every tier below it, so a kernel
+/// built for tier `t` may run on any host whose [`cpu_tier`] is at least
+/// `t`; a kernel family that stops below the host's tier runs its widest
+/// build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CpuTier {
+    /// Portable Rust only (x86-64 without POPCNT, or another target).
+    Baseline,
+    /// The POPCNT instruction.
+    Popcnt,
+    /// AVX2 and POPCNT.
+    Avx2,
+    /// AVX-512F and AVX-512 VPOPCNTDQ, on top of AVX2 and POPCNT.
+    Avx512,
+}
+
+impl CpuTier {
+    /// Every tier, lowest first.
+    pub const ALL: [CpuTier; 4] = [Self::Baseline, Self::Popcnt, Self::Avx2, Self::Avx512];
+
+    /// Lower-case name for reports: `baseline`, `popcnt`, `avx2` or
+    /// `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Baseline => "baseline",
+            Self::Popcnt => "popcnt",
+            Self::Avx2 => "avx2",
+            Self::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The widest [`CpuTier`] whose features this host has, probed once per
+/// process and cached.
+pub fn cpu_tier() -> CpuTier {
+    static TIER: OnceLock<CpuTier> = OnceLock::new();
+    *TIER.get_or_init(probe_tier)
+}
+
+/// Climbs the tiers while the host has every feature of the next one.
+fn probe_tier() -> CpuTier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if !std::arch::is_x86_feature_detected!("popcnt") {
+            return CpuTier::Baseline;
+        }
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return CpuTier::Popcnt;
+        }
+        if !(std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vpopcntdq"))
+        {
+            return CpuTier::Avx2;
+        }
+        CpuTier::Avx512
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    CpuTier::Baseline
+}
 
 /// Splits `0..items` into at most `workers` contiguous, non-empty ranges
 /// of near-equal length (sizes differ by at most one, longer ranges
@@ -218,6 +285,27 @@ mod tests {
                 assert!(whole.iter().all(|r| r.len() % 64 == 0), "{ranges:?}");
                 assert_eq!(last.end, len);
             }
+        }
+    }
+
+    #[test]
+    fn cpu_tier_is_cached_nested_and_named() {
+        let tier = cpu_tier();
+        assert_eq!(cpu_tier(), tier);
+        assert!(CpuTier::ALL.windows(2).all(|w| w[0] < w[1]));
+        let names: Vec<&str> = CpuTier::ALL.iter().map(|t| t.name()).collect();
+        assert_eq!(names, ["baseline", "popcnt", "avx2", "avx512"]);
+        // Every feature of every tier up to the probed one is present.
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected;
+            assert!(tier < CpuTier::Popcnt || is_x86_feature_detected!("popcnt"));
+            assert!(tier < CpuTier::Avx2 || is_x86_feature_detected!("avx2"));
+            assert!(
+                tier < CpuTier::Avx512
+                    || (is_x86_feature_detected!("avx512f")
+                        && is_x86_feature_detected!("avx512vpopcntdq"))
+            );
         }
     }
 

@@ -7,11 +7,13 @@
 //! preserves per-element accumulation order: element `out[i][j]` is always
 //! the sum over `k` ascending, one rounding per multiply and one per add.
 //! The kernels are compiled twice from one `#[inline(always)]` body — a
-//! baseline tier and an AVX2 `#[target_feature]` tier picked at runtime
-//! (the same ladder as `sushi_ssnn::packed`). Rust never contracts
-//! mul+add into FMA, so the SIMD tier is bitwise identical to the scalar
-//! kernel; `simd_matmul_matches_scalar_bitwise` in `tests/properties.rs`
-//! pins that.
+//! baseline build and an AVX2 `#[target_feature]` build, picked by
+//! matching on [`sushi_par::cpu_tier`] like the `sushi_ssnn` popcount
+//! kernels. Rust never contracts mul+add into FMA, so the AVX2 build is
+//! bitwise identical to the baseline one; `matmul_tiers_agree_bitwise`
+//! runs both, and `simd_matmul_matches_scalar_bitwise` in
+//! `tests/properties.rs` pins the dispatched kernel against a scalar
+//! replica.
 //!
 //! Large kernels are split across a persistent [`WorkerPool`] using
 //! [`chunk_plan`] ranges whose boundaries depend only on the shape, never
@@ -21,7 +23,7 @@
 use crate::pool::WorkerPool;
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use sushi_par::chunk_plan;
+use sushi_par::{chunk_plan, cpu_tier, CpuTier};
 
 /// Minimum FLOP count before a matmul is split across the worker pool.
 const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
@@ -190,8 +192,9 @@ impl Matrix {
         out.reset_to(self.rows, other.cols);
         let (k, n) = (self.cols, other.cols);
         let flops = self.rows * k * n;
+        let tier = cpu_tier();
         if pool.workers() == 1 || self.rows < 2 || flops < PARALLEL_FLOP_THRESHOLD {
-            matmul_rows(&self.data, &other.data, &mut out.data, k, n);
+            matmul_rows(tier, &self.data, &other.data, &mut out.data, k, n);
             return;
         }
         let a = &self.data;
@@ -202,7 +205,7 @@ impl Matrix {
             let (chunk, rest) = tail.split_at_mut(r.len() * n);
             tail = rest;
             let a_block = &a[r.start * k..r.end * k];
-            tasks.push(Box::new(move || matmul_rows(a_block, b, chunk, k, n)));
+            tasks.push(Box::new(move || matmul_rows(tier, a_block, b, chunk, k, n)));
         }
         pool.run(tasks);
     }
@@ -269,8 +272,9 @@ impl Matrix {
         );
         let (a_cols, n) = (self.cols, other.cols);
         let flops = self.rows * a_cols * n;
+        let tier = cpu_tier();
         if pool.workers() == 1 || a_cols < 2 || flops < PARALLEL_FLOP_THRESHOLD {
-            t_matmul_acc(&self.data, &other.data, &mut out.data, 0, a_cols, n);
+            t_matmul_acc(tier, &self.data, &other.data, &mut out.data, 0, a_cols, n);
             return;
         }
         let a = &self.data;
@@ -281,7 +285,7 @@ impl Matrix {
             let (chunk, rest) = tail.split_at_mut(r.len() * n);
             tail = rest;
             tasks.push(Box::new(move || {
-                t_matmul_acc(a, b, chunk, r.start, a_cols, n)
+                t_matmul_acc(tier, a, b, chunk, r.start, a_cols, n)
             }));
         }
         pool.run(tasks);
@@ -390,11 +394,11 @@ impl Matrix {
 // ---------------------------------------------------------------------------
 // Kernel tiers
 //
-// One `#[inline(always)]` body per kernel, compiled under each target
-// feature set by a thin `#[target_feature]` wrapper (the dispatch-ladder
-// idiom of `sushi_ssnn::packed`). Under AVX2 the axpy loop vectorizes
-// 8-wide with separate vmulps/vaddps — Rust never contracts them into
-// FMA, so every tier produces identical bits.
+// One `#[inline(always)]` body per kernel, compiled under AVX2 by a thin
+// `#[target_feature]` wrapper and picked by matching on the host's
+// `CpuTier` (the idiom of the `sushi_ssnn` popcount kernels). Under AVX2
+// the axpy loop vectorizes 8-wide with separate vmulps/vaddps — Rust
+// never contracts them into FMA, so both builds produce identical bits.
 // ---------------------------------------------------------------------------
 
 /// `out[j] += a * b[j]` — the axpy inner loop every matmul kernel reduces
@@ -453,25 +457,10 @@ fn t_matmul_acc_body(
     }
 }
 
-fn matmul_rows_baseline(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    matmul_rows_body(a, b, out, k, n);
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_rows_avx2(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     matmul_rows_body(a, b, out, k, n);
-}
-
-fn t_matmul_acc_baseline(
-    a: &[f32],
-    b: &[f32],
-    out_chunk: &mut [f32],
-    i0: usize,
-    a_cols: usize,
-    n: usize,
-) {
-    t_matmul_acc_body(a, b, out_chunk, i0, a_cols, n);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -487,38 +476,37 @@ unsafe fn t_matmul_acc_avx2(
     t_matmul_acc_body(a, b, out_chunk, i0, a_cols, n);
 }
 
-/// The SIMD tier the matmul kernels dispatch to on this host (`"avx2"` or
-/// `"scalar"`) — for bench and diagnostics output; every tier is bitwise
-/// identical, so this never affects results.
-pub fn simd_tier() -> &'static str {
+/// The row-block matmul kernel on the widest build `tier` allows: AVX2
+/// from [`CpuTier::Avx2`] up, else the baseline. Panics if `tier`
+/// exceeds [`cpu_tier`].
+fn matmul_rows(tier: CpuTier, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
+    if tier >= CpuTier::Avx2 {
+        // SAFETY: the host supports `tier` (asserted above), so AVX2.
+        return unsafe { matmul_rows_avx2(a, b, out, k, n) };
     }
-    "scalar"
+    matmul_rows_body(a, b, out, k, n);
 }
 
-/// Runtime dispatch for the row-block matmul kernel. The feature probe is
-/// cached by std, so this costs one relaxed atomic load per call.
-fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+/// The transposed-matmul accumulation kernel on the widest build `tier`
+/// allows, as [`matmul_rows`].
+fn t_matmul_acc(
+    tier: CpuTier,
+    a: &[f32],
+    b: &[f32],
+    out_chunk: &mut [f32],
+    i0: usize,
+    a_cols: usize,
+    n: usize,
+) {
+    assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { matmul_rows_avx2(a, b, out, k, n) };
-        return;
+    if tier >= CpuTier::Avx2 {
+        // SAFETY: the host supports `tier` (asserted above), so AVX2.
+        return unsafe { t_matmul_acc_avx2(a, b, out_chunk, i0, a_cols, n) };
     }
-    matmul_rows_baseline(a, b, out, k, n);
-}
-
-/// Runtime dispatch for the transposed-matmul accumulation kernel.
-fn t_matmul_acc(a: &[f32], b: &[f32], out_chunk: &mut [f32], i0: usize, a_cols: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was verified at runtime just above.
-        unsafe { t_matmul_acc_avx2(a, b, out_chunk, i0, a_cols, n) };
-        return;
-    }
-    t_matmul_acc_baseline(a, b, out_chunk, i0, a_cols, n);
+    t_matmul_acc_body(a, b, out_chunk, i0, a_cols, n);
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -626,6 +614,37 @@ mod tests {
             let mut acc_seq = Matrix::zeros(n, n);
             a.transpose_matmul_acc_into(&b, &mut acc_seq, &WorkerPool::new(1));
             assert_eq!(acc, acc_seq, "t_matmul workers={workers}");
+        }
+    }
+
+    /// The baseline and AVX2 builds of both kernels produce the same bits
+    /// on every tier the host runs, sparse skips included.
+    #[test]
+    fn matmul_tiers_agree_bitwise() {
+        let (m, k, n) = (37, 53, 29);
+        let fill = |len: usize, mul: usize, scale: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| match i % 5 {
+                    0 => 0.0,
+                    _ => ((i * mul) % 23) as f32 * scale - 1.7,
+                })
+                .collect()
+        };
+        let a = fill(m * k, 7919, 0.37);
+        let b = fill(k * n, 104_729, 0.21);
+        let c = fill(m * n, 6151, 0.13);
+        let mut runs = Vec::new();
+        for tier in CpuTier::ALL.into_iter().filter(|&t| t <= cpu_tier()) {
+            let mut prod = vec![0.0f32; m * n];
+            matmul_rows(tier, &a, &b, &mut prod, k, n);
+            let mut grad = vec![0.5f32; k * n];
+            t_matmul_acc(tier, &a, &c, &mut grad, 0, k, n);
+            let bits: Vec<u32> = prod.iter().chain(&grad).map(|v| v.to_bits()).collect();
+            runs.push((tier, bits));
+        }
+        let (_, reference) = &runs[0];
+        for (tier, bits) in &runs {
+            assert_eq!(bits, reference, "{tier:?}");
         }
     }
 

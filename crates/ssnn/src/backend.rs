@@ -1,7 +1,10 @@
-//! Which engine runs a batch, and the oracle every engine answers to.
+//! Which engine runs a batch, and the prediction rule every engine
+//! shares.
 //!
 //! Two engines do the work, both over packed `u64` words and both
-//! bitwise identical to the scalar `Vec<i8>` × `Vec<bool>` reference:
+//! bitwise identical to the scalar `Vec<i8>` × `Vec<bool>` oracle on
+//! [`BinarizedSnn`](crate::BinarizedSnn) (`step_scalar`,
+//! `forward_counts_scalar`, `predict_scalar`):
 //!
 //! * the per-image packed engine ([`crate::packed`]): one image per
 //!   sweep, the lowest latency for a lone image;
@@ -12,14 +15,12 @@
 //! The batch depth alone picks between them: from
 //! [`BITPLANE_MIN_LANES`] images on, the bitplane engine; below it, the
 //! per-image one. The serving executor applies exactly this rule to
-//! every micro-batch. [`ScalarBackend`] is the oracle the proptests hold
-//! both engines to, and [`argmax_low`] the one prediction rule all three
-//! share.
+//! every micro-batch, and [`argmax_low`] is the one prediction rule both
+//! engines and the oracle share.
 //!
 //! # Examples
 //!
 //! ```
-//! use sushi_ssnn::backend::ScalarBackend;
 //! use sushi_ssnn::binarize::{BinaryLayer, BinarizedSnn};
 //! use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 //!
@@ -28,12 +29,10 @@
 //! let packed = PackedSnn::from_network(&net);
 //! let frames = vec![vec![true, true]];
 //! let items = vec![PackedFrames::from_bool_frames(2, &frames)];
-//! let want = ScalarBackend(&net).predict(&frames);
+//! let want = net.predict_scalar(&frames);
 //! assert_eq!(packed.predict_batch_packed(&items, 1), vec![want]);
 //! assert_eq!(packed.predict_batch_bitplane_packed(&items, 1), vec![want]);
 //! ```
-
-use crate::binarize::BinarizedSnn;
 
 /// The batch depth from which the bitplane engine serves a batch: a
 /// micro-batch of at least this many images runs as one lane group,
@@ -62,42 +61,10 @@ pub fn argmax_low(counts: &[u32]) -> usize {
         .expect("at least one class")
 }
 
-/// The scalar oracle: byte-wise `Vec<i8>` × `Vec<bool>` inner loops, no
-/// packing anywhere. What every fast path is tested against.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarBackend<'a>(pub &'a BinarizedSnn);
-
-impl ScalarBackend<'_> {
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.0.classes()
-    }
-
-    /// Per-class spike counts over one item's frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        self.0.forward_counts_scalar_impl(frames)
-    }
-
-    /// Predicted class for one item (argmax of spike counts, ties to the
-    /// lowest index).
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn predict(&self, frames: &[Vec<bool>]) -> usize {
-        argmax_low(&self.forward_counts(frames))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::batchplane::BitplaneScratch;
-    use crate::binarize::BinaryLayer;
+    use crate::binarize::{BinarizedSnn, BinaryLayer};
     use crate::packed::{PackedFrames, PackedSnn, PredictScratch};
 
     fn fixture() -> (BinarizedSnn, PackedSnn) {
@@ -149,10 +116,12 @@ mod tests {
             .iter()
             .map(|it| PackedFrames::from_bool_frames(70, it))
             .collect();
-        let oracle = ScalarBackend(&net);
-        let want_counts: Vec<Vec<u32>> = data.iter().map(|it| oracle.forward_counts(it)).collect();
-        let want_preds: Vec<usize> = data.iter().map(|it| oracle.predict(it)).collect();
-        assert_eq!(oracle.classes(), 6);
+        let want_counts: Vec<Vec<u32>> = data
+            .iter()
+            .map(|it| net.forward_counts_scalar(it))
+            .collect();
+        let want_preds: Vec<usize> = data.iter().map(|it| net.predict_scalar(it)).collect();
+        assert_eq!(net.classes(), 6);
         assert_eq!(packed.classes(), 6);
         // Per image: the bool entry points and the scratch-reusing
         // packed-word ones.
@@ -206,13 +175,12 @@ mod tests {
     fn binarized_snn_implements_the_trait_directly() {
         let (net, packed) = fixture();
         let data = items(0xB0B, 9);
-        // `BinarizedSnn`'s own per-item entry points agree with the
-        // packed engine's batch and per-item paths.
-        let per_item: Vec<usize> = data.iter().map(|it| net.predict(it)).collect();
+        // `BinarizedSnn`'s own per-item oracle agrees with the packed
+        // engine's batch and per-item paths.
+        let per_item: Vec<usize> = data.iter().map(|it| net.predict_scalar(it)).collect();
         assert_eq!(per_item, packed.predict_batch(&data, 4));
-        assert_eq!(
-            net.forward_counts(&data[0]),
-            packed.forward_counts(&data[0])
-        );
+        for it in &data {
+            assert_eq!(net.forward_counts_scalar(it), packed.forward_counts(it));
+        }
     }
 }

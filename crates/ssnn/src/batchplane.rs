@@ -26,9 +26,10 @@
 //! layer ("transpose in, transpose out"). Lanes past the batch size stay
 //! zero by construction on every plane.
 //!
-//! The sweep runtime-dispatches like the per-image kernels — baseline →
-//! POPCNT → AVX2 (Mula byte popcount per 4 lanes) → AVX-512/VPOPCNTDQ
-//! (8 lanes per `vpopcntq`, fired masks straight from `cmpge`). The wide
+//! The sweep matches on [`sushi_par::cpu_tier`] like the per-image
+//! kernels — baseline → POPCNT → AVX2 (Mula byte popcount per 4 lanes) →
+//! AVX-512/VPOPCNTDQ (8 lanes per `vpopcntq`, fired masks straight from
+//! `cmpge`). The wide
 //! tier is what this layout exists for: with lanes as the vector axis
 //! there are no per-image horizontal reductions and no half-empty words,
 //! so AVX-512 finally pays for itself (see DESIGN.md).
@@ -58,7 +59,7 @@
 
 use crate::backend::argmax_low;
 use crate::packed::{PackedFrames, PackedLayer, PackedSnn};
-use sushi_par::fan_out;
+use sushi_par::{cpu_tier, fan_out, CpuTier};
 
 /// Transposes a 64×64 bit matrix in place, LSB-first: afterwards
 /// `a[i] >> j & 1` equals the old `a[j] >> i & 1`.
@@ -297,6 +298,18 @@ impl PackedLayer {
     ///
     /// Panics on input-width mismatch.
     pub fn batch_step_into(&self, x: &BitplaneBatch, out: &mut BitplaneBatch, xm: &mut Vec<u64>) {
+        self.batch_step_on(cpu_tier(), x, out, xm);
+    }
+
+    /// [`Self::batch_step_into`] on the widest sweep `tier` allows.
+    /// Panics if `tier` exceeds [`cpu_tier`].
+    fn batch_step_on(
+        &self,
+        tier: CpuTier,
+        x: &BitplaneBatch,
+        out: &mut BitplaneBatch,
+        xm: &mut Vec<u64>,
+    ) {
         assert_eq!(x.bits(), self.inputs(), "input width mismatch");
         let words = self.words();
         xm.clear();
@@ -311,7 +324,7 @@ impl PackedLayer {
             xm[lo..lo + 64].copy_from_slice(&tile);
         }
         out.reset(self.outputs(), x.lanes());
-        self.batch_sweep_dispatch(xm, x.lanes(), out.planes_mut());
+        self.batch_sweep_on(tier, xm, x.lanes(), out.planes_mut());
     }
 
     /// The weight-stationary batch sweep: for every output neuron,
@@ -496,32 +509,23 @@ impl PackedLayer {
         }
     }
 
-    /// Runtime-dispatched batch sweep: baseline → POPCNT → AVX2 →
-    /// AVX-512/VPOPCNTDQ, picking the widest tier the host supports
-    /// (detection is cached by `std`, one atomic load per check).
-    fn batch_sweep_dispatch(&self, xm: &[u64], lanes: usize, out_planes: &mut [u64]) {
+    /// The batch sweep on the widest kernel `tier` allows: baseline →
+    /// POPCNT → AVX2 → AVX-512/VPOPCNTDQ. Panics if `tier`
+    /// exceeds [`cpu_tier`].
+    fn batch_sweep_on(&self, tier: CpuTier, xm: &[u64], lanes: usize, out_planes: &mut [u64]) {
+        assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
+        assert_eq!(xm.len(), self.words() * 64, "transpose scratch mismatch");
         if lanes == 0 {
             return;
         }
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
-                && std::arch::is_x86_feature_detected!("popcnt")
-            {
-                // SAFETY: all required features verified just above.
-                return unsafe { self.batch_sweep_avx512(xm, lanes, out_planes) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("popcnt")
-            {
-                // SAFETY: avx2 + popcnt verified just above.
-                return unsafe { self.batch_sweep_avx2(xm, lanes, out_planes) };
-            }
-            if std::arch::is_x86_feature_detected!("popcnt") {
-                // SAFETY: popcnt verified just above.
-                return unsafe { self.batch_sweep_popcnt(xm, lanes, out_planes) };
-            }
+        match tier {
+            // SAFETY: the host supports `tier` (asserted above), which
+            // implies the features each kernel enables.
+            CpuTier::Avx512 => return unsafe { self.batch_sweep_avx512(xm, lanes, out_planes) },
+            CpuTier::Avx2 => return unsafe { self.batch_sweep_avx2(xm, lanes, out_planes) },
+            CpuTier::Popcnt => return unsafe { self.batch_sweep_popcnt(xm, lanes, out_planes) },
+            CpuTier::Baseline => {}
         }
         self.batch_sweep(xm, lanes, out_planes);
     }
@@ -618,7 +622,6 @@ impl PackedSnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ScalarBackend;
     use crate::binarize::{BinarizedSnn, BinaryLayer};
 
     fn xorshift(state: &mut u64) -> u64 {
@@ -743,24 +746,59 @@ mod tests {
         let _ = BitplaneBatch::from_packed_frames(64, &[a.frame(0), b.frame(0)]);
     }
 
+    /// Every sweep tier the host runs matches the scalar oracle per lane.
     #[test]
     fn batch_step_matches_scalar_step_per_lane() {
-        // Widths straddle word boundaries; batch sizes cover 1, 63, 64.
-        for (ins, lanes) in [(1usize, 1usize), (63, 63), (64, 64), (65, 17), (130, 64)] {
+        // Widths straddle word boundaries, and 2,100 inputs (33 words)
+        // pass the AVX2 sweep's 31-word byte-accumulator flush; batch
+        // sizes cover 1, 63, 64.
+        let cases = [
+            (1usize, 1usize),
+            (63, 63),
+            (64, 64),
+            (65, 17),
+            (130, 64),
+            (2_100, 64),
+        ];
+        for (ins, lanes) in cases {
             let net = random_net(ins as u64 * 7 + 3, &[(ins, 29)]);
-            let layer = net.layers()[0].packed();
             let mut st = 0x11C0 + lanes as u64;
             let frames: Vec<Vec<bool>> = (0..lanes).map(|_| random_frame(&mut st, ins)).collect();
-            let x = batch_of(ins, &frames);
+            assert_batch_step_matches_scalar(&net, &frames);
+        }
+        // All-ones lanes against fully connected columns add 8 to every
+        // byte lane per word, so a flush later than 31 words wraps a
+        // byte accumulator.
+        let ins = 2_100;
+        let l =
+            BinaryLayer::from_signs([1, -1].repeat(ins), ins, 2, vec![ins as i64, -(ins as i64)]);
+        let net = BinarizedSnn::from_layers(vec![l]);
+        let mut frames = vec![vec![true; ins]; 5];
+        frames.push(vec![false; ins]);
+        assert_batch_step_matches_scalar(&net, &frames);
+    }
+
+    /// One batch step of `net`'s only layer on every host tier, checked
+    /// lane by lane against the scalar step, with pad lanes silent.
+    fn assert_batch_step_matches_scalar(net: &BinarizedSnn, frames: &[Vec<bool>]) {
+        let layer = net.layers()[0].packed();
+        let ins = layer.inputs();
+        let x = batch_of(ins, frames);
+        let want: Vec<Vec<bool>> = frames.iter().map(|f| net.step_scalar(f)).collect();
+        for tier in CpuTier::ALL.into_iter().filter(|&t| t <= cpu_tier()) {
             let mut out = BitplaneBatch::default();
             let mut xm = Vec::new();
-            layer.batch_step_into(&x, &mut out, &mut xm);
-            assert_eq!(out.lanes(), lanes);
-            for (l, f) in frames.iter().enumerate() {
-                assert_eq!(out.lane_frame(l), net.step_scalar(f), "ins {ins} lane {l}");
+            layer.batch_step_on(tier, &x, &mut out, &mut xm);
+            assert_eq!(out.lanes(), frames.len());
+            for (l, w) in want.iter().enumerate() {
+                assert_eq!(&out.lane_frame(l), w, "ins {ins} lane {l} {tier:?}");
             }
             for (i, &p) in out.planes().iter().enumerate() {
-                assert_eq!(p & !out.lane_mask(), 0, "pad lanes fired in plane {i}");
+                assert_eq!(
+                    p & !out.lane_mask(),
+                    0,
+                    "pad lane fired: plane {i} {tier:?}"
+                );
             }
         }
     }
@@ -836,14 +874,16 @@ mod tests {
         let net = random_net(301, &[(80, 25), (25, 9)]);
         let p = PackedSnn::from_network(&net);
         let items = random_items(0xDEAF, 5, 80, 4);
-        let scalar = ScalarBackend(&net);
         // Each item alone as a one-lane group.
         for (it, packed) in items.iter().zip(pack(80, &items)) {
             let one = std::slice::from_ref(&packed);
-            assert_eq!(bitplane_counts(&p, one), vec![scalar.forward_counts(it)]);
+            assert_eq!(
+                bitplane_counts(&p, one),
+                vec![net.forward_counts_scalar(it)]
+            );
             assert_eq!(
                 p.predict_batch_bitplane_packed(one, 1),
-                vec![scalar.predict(it)]
+                vec![net.predict_scalar(it)]
             );
         }
     }
@@ -898,11 +938,10 @@ mod tests {
     fn packed_bitplane_matches_bool_bitplane_and_packed_engine() {
         let net = random_net(91, &[(90, 33), (33, 7)]);
         let p = PackedSnn::from_network(&net);
-        let oracle = ScalarBackend(&net);
         for count in [0usize, 1, 63, 64, 65, 130] {
             let items = random_items(0xC0DE + count as u64, count, 90, 3);
             let packed_items = pack(90, &items);
-            let reference: Vec<usize> = items.iter().map(|it| oracle.predict(it)).collect();
+            let reference: Vec<usize> = items.iter().map(|it| net.predict_scalar(it)).collect();
             for workers in [1usize, 2, 7] {
                 assert_eq!(
                     p.predict_batch_bitplane_packed(&packed_items, workers),

@@ -8,7 +8,7 @@
 //! threshold and the chip only ever handles ±1 pulses.
 
 use crate::backend::argmax_low;
-use crate::packed::{PackedFrame, PackedLayer};
+use crate::packed::PackedLayer;
 use sushi_snn::tensor::Matrix;
 use sushi_snn::train::TrainedSnn;
 
@@ -29,9 +29,9 @@ pub struct BinaryLayer {
     /// Folded integer thresholds per output neuron: the neuron fires iff
     /// the signed pulse sum reaches this value.
     thresholds: Vec<i64>,
-    /// The same signs bit-packed column-major for the XNOR/popcount fast
-    /// path (see [`crate::packed`]); derived from `signs` at construction,
-    /// so equality and clones stay consistent.
+    /// The same signs bit-packed column-major for the XNOR/popcount
+    /// engines (see [`crate::packed`]); derived from `signs` at
+    /// construction, so equality and clones stay consistent.
     packed: PackedLayer,
 }
 
@@ -190,7 +190,11 @@ impl BinaryLayer {
     }
 }
 
-/// A fully binarized network ready for chip mapping.
+/// A fully binarized network ready for chip mapping: the model, and the
+/// scalar oracle every engine is held to ([`Self::step_scalar`],
+/// [`Self::forward_counts_scalar`], [`Self::predict_scalar`]). The oracle
+/// runs byte-wise `Vec<i8>` × `Vec<bool>` loops with no packing;
+/// [`crate::PackedSnn`] is the fast engine over the same network.
 ///
 /// # Examples
 ///
@@ -200,7 +204,7 @@ impl BinaryLayer {
 ///
 /// let l = BinaryLayer::from_signs(vec![1, -1, 1, 1], 2, 2, vec![1, 2]);
 /// let net = BinarizedSnn::from_layers(vec![l]);
-/// let spikes = net.step(&[true, true]);
+/// let spikes = net.step_scalar(&[true, true]);
 /// // Signs are row-major (input x output): neuron 0 sums 1+1 = 2 >= 1,
 /// // neuron 1 sums -1+1 = 0 < 2.
 /// assert_eq!(spikes, vec![true, false]);
@@ -257,25 +261,7 @@ impl BinarizedSnn {
     }
 
     /// One stateless time step through the whole network with end-of-step
-    /// firing (the software reference semantics). Runs on the bit-packed
-    /// XNOR/popcount path — bitwise identical to [`Self::step_scalar`],
-    /// which is kept as the oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn step(&self, input: &[bool]) -> Vec<bool> {
-        let mut x = PackedFrame::from_bools(input);
-        let mut y = PackedFrame::default();
-        let mut acc = Vec::new();
-        for layer in &self.layers {
-            layer.packed.step_into(&x, &mut y, &mut acc);
-            std::mem::swap(&mut x, &mut y);
-        }
-        x.to_bools()
-    }
-
-    /// The scalar reference for [`Self::step`]: `Vec<i8>` × `Vec<bool>`
+    /// firing (the software reference semantics): `Vec<i8>` × `Vec<bool>`
     /// inner loops, no packing.
     ///
     /// # Panics
@@ -294,30 +280,13 @@ impl BinarizedSnn {
         x
     }
 
-    /// Runs `frames` (one bool vec per time step), returning per-class
-    /// spike counts. Packed fast path; bitwise identical to the scalar
-    /// reference (`sushi_ssnn::ScalarBackend`).
-    pub fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        let mut counts = vec![0u32; self.classes()];
-        let mut x = PackedFrame::default();
-        let mut y = PackedFrame::default();
-        let mut acc = Vec::new();
-        for f in frames {
-            x.fill_from_bools(f);
-            for layer in &self.layers {
-                layer.packed.step_into(&x, &mut y, &mut acc);
-                std::mem::swap(&mut x, &mut y);
-            }
-            for (j, c) in counts.iter_mut().enumerate() {
-                *c += u32::from(x.get(j));
-            }
-        }
-        counts
-    }
-
-    /// The scalar reference for [`Self::forward_counts`], used by
-    /// `ScalarBackend`.
-    pub(crate) fn forward_counts_scalar_impl(&self, frames: &[Vec<bool>]) -> Vec<u32> {
+    /// Runs `frames` (one bool vec per time step) through
+    /// [`Self::step_scalar`], returning per-class spike counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on input-width mismatch.
+    pub fn forward_counts_scalar(&self, frames: &[Vec<bool>]) -> Vec<u32> {
         let mut counts = vec![0u32; self.classes()];
         for f in frames {
             for (c, s) in counts.iter_mut().zip(self.step_scalar(f)) {
@@ -327,12 +296,15 @@ impl BinarizedSnn {
         counts
     }
 
-    /// Predicted class for `frames` (argmax of spike counts; ties go to
-    /// the lowest index, matching the float reference's argmax). Packed
-    /// fast path; bitwise identical to the scalar reference
-    /// (`sushi_ssnn::ScalarBackend`).
-    pub fn predict(&self, frames: &[Vec<bool>]) -> usize {
-        argmax_low(&self.forward_counts(frames))
+    /// Predicted class for `frames`: the argmax of
+    /// [`Self::forward_counts_scalar`], ties to the lowest index
+    /// ([`argmax_low`], the rule every engine shares).
+    ///
+    /// # Panics
+    ///
+    /// Panics on input-width mismatch.
+    pub fn predict_scalar(&self, frames: &[Vec<bool>]) -> usize {
+        argmax_low(&self.forward_counts_scalar(frames))
     }
 }
 
@@ -385,12 +357,12 @@ mod tests {
         let l1 = BinaryLayer::from_signs(vec![1, 1, 1, -1], 2, 2, vec![2, 1]);
         let l2 = BinaryLayer::from_signs(vec![1, -1, 1, 1], 2, 2, vec![1, 1]);
         let net = BinarizedSnn::from_layers(vec![l1, l2]);
-        let out = net.step(&[true, true]);
+        let out = net.step_scalar(&[true, true]);
         // l1: acc = [2, 0] -> spikes [true, false]; l2: acc = [1, -1] -> [true, false].
         assert_eq!(out, vec![true, false]);
-        let counts = net.forward_counts(&[vec![true, true], vec![true, true]]);
+        let counts = net.forward_counts_scalar(&[vec![true, true], vec![true, true]]);
         assert_eq!(counts, vec![2, 0]);
-        assert_eq!(net.predict(&[vec![true, true]]), 0);
+        assert_eq!(net.predict_scalar(&[vec![true, true]]), 0);
     }
 
     #[test]
@@ -398,7 +370,7 @@ mod tests {
         let l = BinaryLayer::from_signs(vec![1, 1], 1, 2, vec![1, 1]);
         let net = BinarizedSnn::from_layers(vec![l]);
         // Both classes fire equally.
-        assert_eq!(net.predict(&[vec![true]]), 0);
+        assert_eq!(net.predict_scalar(&[vec![true]]), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! last row block.
 
 use crate::binarize::BinarizedSnn;
-use crate::packed::PackedFrame;
+use crate::packed::PackedFrames;
 use std::ops::Range;
 
 /// One tile of one layer mapped onto the chip.
@@ -48,6 +48,8 @@ impl Slice {
 pub struct SliceSchedule {
     slices: Vec<Slice>,
     n: usize,
+    /// The `(inputs, outputs)` shape of every layer sliced.
+    shapes: Vec<(usize, usize)>,
 }
 
 impl SliceSchedule {
@@ -79,17 +81,16 @@ impl SliceSchedule {
                 }
             }
         }
-        Self { slices, n }
+        Self {
+            slices,
+            n,
+            shapes: shapes.to_vec(),
+        }
     }
 
     /// Builds the schedule for a binarized network.
     pub fn for_network(net: &BinarizedSnn, n: usize) -> Self {
-        let shapes: Vec<(usize, usize)> = net
-            .layers()
-            .iter()
-            .map(|l| (l.inputs(), l.outputs()))
-            .collect();
-        Self::for_shapes(&shapes, n)
+        Self::for_shapes(&layer_shapes(net), n)
     }
 
     /// The chip width used.
@@ -126,19 +127,27 @@ impl SliceSchedule {
 
     /// Executes one time step of `net` slice by slice, with per-neuron
     /// partial sums preserved across row blocks — must agree exactly with
-    /// the unsliced reference (`BinarizedSnn::step`).
+    /// the unsliced oracle ([`BinarizedSnn::step_scalar`]).
     ///
-    /// Each tile is evaluated against the layer's packed columns: the
+    /// Each layer's input is packed once into [`PackedFrames`] words, and
+    /// each tile is evaluated against the layer's packed columns: the
     /// slice's row range becomes a masked popcount window, so partial
     /// sums accumulate 64 synapses per word-op while remaining exact
     /// integers (bitwise identical to the scalar sweep).
     ///
     /// # Panics
     ///
-    /// Panics if the schedule was not built for `net` or the input width
-    /// mismatches.
+    /// Panics if the schedule was built for other layer shapes than
+    /// `net`'s, or on input-width mismatch.
     pub fn sliced_step(&self, net: &BinarizedSnn, input: &[bool]) -> Vec<bool> {
-        let mut x = PackedFrame::from_bools(input);
+        let shapes = layer_shapes(net);
+        assert!(
+            self.shapes == shapes,
+            "schedule built for layer shapes {:?}, network has {shapes:?}",
+            self.shapes
+        );
+        assert_eq!(input.len(), net.input_width(), "input width mismatch");
+        let mut x = PackedFrames::from_bool_frames(input.len(), &[input]);
         let mut layer_idx = 0usize;
         let mut acc: Vec<i64> = vec![0; net.layers()[0].outputs()];
         let mut out: Vec<bool> = vec![false; net.layers()[0].outputs()];
@@ -146,16 +155,15 @@ impl SliceSchedule {
             if slice.layer != layer_idx {
                 // Advance to the next layer: its input is the previous
                 // layer's spike vector.
-                assert_eq!(slice.layer, layer_idx + 1, "schedule out of order");
                 layer_idx = slice.layer;
-                x.fill_from_bools(&out);
+                x.reset(out.len());
+                x.push_frame_from_bools(&out);
                 acc = vec![0; net.layers()[layer_idx].outputs()];
                 out = vec![false; net.layers()[layer_idx].outputs()];
             }
             let layer = &net.layers()[layer_idx];
-            assert_eq!(x.len(), layer.inputs(), "input width mismatch");
             layer.packed().accumulate_rows_into(
-                &x,
+                x.frame(0),
                 slice.rows.clone(),
                 slice.cols.clone(),
                 &mut acc,
@@ -169,6 +177,14 @@ impl SliceSchedule {
         }
         out
     }
+}
+
+/// The `(inputs, outputs)` shape of every layer of `net`.
+fn layer_shapes(net: &BinarizedSnn) -> Vec<(usize, usize)> {
+    net.layers()
+        .iter()
+        .map(|l| (l.inputs(), l.outputs()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -238,7 +254,7 @@ mod tests {
                 let input: Vec<bool> = (0..9).map(|b| mask >> b & 1 == 1).collect();
                 assert_eq!(
                     sched.sliced_step(&net, &input),
-                    net.step(&input),
+                    net.step_scalar(&input),
                     "n={n} mask={mask:09b}"
                 );
             }
@@ -256,5 +272,35 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_width_panics() {
         let _ = SliceSchedule::for_shapes(&[(4, 4)], 0);
+    }
+
+    fn ones_net(shapes: &[(usize, usize)]) -> BinarizedSnn {
+        let layers = shapes
+            .iter()
+            .map(|&(ins, outs)| {
+                BinaryLayer::from_signs(vec![1; ins * outs], ins, outs, vec![1; outs])
+            })
+            .collect();
+        BinarizedSnn::from_layers(layers)
+    }
+
+    /// On a 7-wide layer, a schedule for 5 columns would leave columns 5
+    /// and 6 unevaluated (silently `false`).
+    #[test]
+    #[should_panic(expected = "schedule built for layer shapes [(9, 5)], network has [(9, 7)]")]
+    fn schedule_for_narrower_layer_panics() {
+        let sched = SliceSchedule::for_shapes(&[(9, 5)], 4);
+        let _ = sched.sliced_step(&ones_net(&[(9, 7)]), &[true; 9]);
+    }
+
+    /// On a two-layer network, a one-layer schedule would return the
+    /// hidden layer as the output.
+    #[test]
+    #[should_panic(
+        expected = "schedule built for layer shapes [(9, 5)], network has [(9, 5), (5, 3)]"
+    )]
+    fn schedule_for_fewer_layers_panics() {
+        let sched = SliceSchedule::for_shapes(&[(9, 5)], 4);
+        let _ = sched.sliced_step(&ones_net(&[(9, 5), (5, 3)]), &[true; 9]);
     }
 }

@@ -127,7 +127,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 sched.sliced_step(&net, &frame),
-                net.step(&frame),
+                net.step_scalar(&frame),
                 "seed {seed}"
             );
         }

@@ -43,122 +43,17 @@
 use crate::backend::argmax_low;
 use crate::binarize::BinarizedSnn;
 use std::ops::Range;
-use sushi_par::fan_out;
-
-/// One input (or spike) frame packed 64 bools per `u64` word, little-end
-/// first: bit `i` lives in `words[i / 64]` at position `i % 64`. Pad bits
-/// past `len` are always zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedFrame {
-    len: usize,
-    words: Vec<u64>,
-}
-
-impl PackedFrame {
-    /// An all-zero frame of `len` bits.
-    pub fn zeros(len: usize) -> Self {
-        Self {
-            len,
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Packs a bool slice.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut f = Self::zeros(bits.len());
-        f.fill_from_bools(bits);
-        f
-    }
-
-    /// Repacks `bits` into this frame, reusing its allocation.
-    ///
-    /// Branchless word-at-a-time packing: per-bit `if b { set }` costs a
-    /// mispredict per spike on dense frames and dominated `predict` at
-    /// the paper shape (~a third of the packed path) before this.
-    pub fn fill_from_bools(&mut self, bits: &[bool]) {
-        self.reset(bits.len());
-        let mut chunks = bits.chunks_exact(64);
-        let mut w = 0;
-        for chunk in &mut chunks {
-            let mut word = 0u64;
-            for (bit, &b) in chunk.iter().enumerate() {
-                word |= u64::from(b) << bit;
-            }
-            self.words[w] = word;
-            w += 1;
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut word = 0u64;
-            for (bit, &b) in rem.iter().enumerate() {
-                word |= u64::from(b) << bit;
-            }
-            self.words[w] = word;
-        }
-    }
-
-    /// Resizes to `len` bits, all zero.
-    pub fn reset(&mut self, len: usize) {
-        self.len = len;
-        self.words.clear();
-        self.words.resize(len.div_ceil(64), 0);
-    }
-
-    /// Bit width.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the frame has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit {i} out of {}", self.len);
-        self.words[i >> 6] >> (i & 63) & 1 == 1
-    }
-
-    /// Sets bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (which also protects the pad-bit
-    /// invariant).
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of {}", self.len);
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-
-    /// The packed words.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Unpacks back to bools.
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len)
-            .map(|i| self.words[i >> 6] >> (i & 63) & 1 == 1)
-            .collect()
-    }
-}
+use sushi_par::{cpu_tier, fan_out, CpuTier};
 
 /// A sequence of equal-width frames, each bit-packed into
-/// `width.div_ceil(64)` consecutive `u64` words with the
-/// [`PackedFrame`] bit layout (bit `i` of a frame in word `i / 64` at
-/// position `i % 64`, pad bits past `width` always zero).
+/// `width.div_ceil(64)` consecutive `u64` words, little end first: bit
+/// `i` of a frame lives in word `i / 64` at position `i % 64`, and pad
+/// bits past `width` are always zero. Every packed spike vector in the
+/// crate (a layer's output, a bit-slice step's input) uses this word
+/// layout.
 ///
-/// This is the canonical packed *request* payload: one image's spike
+/// This is the one frame type and the canonical packed *request*
+/// payload: one image's spike
 /// frames, packed once at the edge (from bools, wire bytes or raw
 /// words) and consumed by the engine without ever expanding back to
 /// bools — [`PackedSnn::predict_packed_with`] /
@@ -240,8 +135,9 @@ impl PackedFrames {
         (0..self.count).map(move |t| self.frame(t))
     }
 
-    /// Appends one frame from bools (branchless word-at-a-time packing,
-    /// the [`PackedFrame::fill_from_bools`] inner loop).
+    /// Appends one frame from bools. Packing is branchless and word at a
+    /// time: a per-bit `if b { set }` costs a mispredict per spike on
+    /// dense frames.
     ///
     /// # Panics
     ///
@@ -592,83 +488,45 @@ impl PackedLayer {
         }
     }
 
-    /// Runtime-dispatched full sweep: picks the widest kernel the host
-    /// supports (detection is cached by `std`, one atomic load per call).
-    fn full_sweep_dispatch(&self, xw: &[u64], acc: &mut [i64]) {
+    /// The full sweep on the widest kernel `tier` allows: AVX2 from
+    /// [`CpuTier::Avx2`] up (the per-image sweep has no AVX-512 build),
+    /// then POPCNT, then the portable body. Panics if `tier`
+    /// exceeds [`cpu_tier`].
+    fn full_sweep_on(&self, tier: CpuTier, xw: &[u64], acc: &mut [i64]) {
+        assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
+        assert_eq!(xw.len(), self.words, "input word count mismatch");
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: avx2 implies popcnt on every shipping CPU, but
-                // check both to keep the contract airtight.
-                if std::arch::is_x86_feature_detected!("popcnt") {
-                    return unsafe { self.full_sweep_avx2(xw, acc) };
-                }
-            }
-            if std::arch::is_x86_feature_detected!("popcnt") {
-                return unsafe { self.full_sweep_popcnt(xw, acc) };
-            }
+        match tier {
+            // SAFETY: the host supports `tier` (asserted above), which
+            // implies the features each kernel enables.
+            CpuTier::Avx2 | CpuTier::Avx512 => return unsafe { self.full_sweep_avx2(xw, acc) },
+            CpuTier::Popcnt => return unsafe { self.full_sweep_popcnt(xw, acc) },
+            CpuTier::Baseline => {}
         }
         self.full_sweep(xw, acc);
     }
 
-    /// Integer pre-activation of every output neuron, written into `acc`
-    /// (cleared first). Exactly [`crate::BinaryLayer::accumulate`] via the
-    /// popcount identity `acc = 2*popcount(xa & pos) - popcount(xa)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn accumulate_into(&self, x: &PackedFrame, acc: &mut Vec<i64>) {
-        assert_eq!(x.len(), self.inputs, "input width mismatch");
+    /// One end-of-step evaluation on a packed input frame `xw` of this
+    /// layer's width (pad bits zero): accumulates into `acc` and
+    /// thresholds into `out`, the output spikes packed in the
+    /// [`PackedFrames`] word layout for the next layer.
+    fn step_words_into(&self, tier: CpuTier, xw: &[u64], out: &mut Vec<u64>, acc: &mut Vec<i64>) {
         acc.clear();
         acc.resize(self.outputs, 0);
-        self.full_sweep_dispatch(x.words(), acc);
-    }
-
-    /// Integer pre-activation of every output neuron.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn accumulate(&self, x: &PackedFrame) -> Vec<i64> {
-        let mut acc = Vec::with_capacity(self.outputs);
-        self.accumulate_into(x, &mut acc);
-        acc
-    }
-
-    /// One end-of-step evaluation: accumulates into `acc` and thresholds
-    /// into `out` (resized to `outputs`, spikes bit-packed for the next
-    /// layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn step_into(&self, x: &PackedFrame, out: &mut PackedFrame, acc: &mut Vec<i64>) {
-        assert_eq!(x.len(), self.inputs, "input width mismatch");
-        self.step_words_into(x.words(), out, acc);
-    }
-
-    /// [`PackedLayer::step_into`] on a borrowed word slice — the
-    /// zero-copy entry the packed request path uses to feed a
-    /// [`PackedFrames`] frame to the first layer without staging it in
-    /// a [`PackedFrame`] first. The caller guarantees `xw` is a packed
-    /// frame of exactly this layer's input width (pad bits zero).
-    pub(crate) fn step_words_into(&self, xw: &[u64], out: &mut PackedFrame, acc: &mut Vec<i64>) {
-        debug_assert_eq!(xw.len(), self.words, "input word count mismatch");
-        acc.clear();
-        acc.resize(self.outputs, 0);
-        self.full_sweep_dispatch(xw, acc);
-        out.reset(self.outputs);
+        self.full_sweep_on(tier, xw, acc);
+        out.clear();
+        out.resize(self.outputs.div_ceil(64), 0);
         for (j, (&a, &t)) in acc.iter().zip(&self.thresholds).enumerate() {
             if a >= t {
-                out.words[j >> 6] |= 1u64 << (j & 63);
+                out[j >> 6] |= 1u64 << (j & 63);
             }
         }
     }
 
     /// Adds the pre-activation contribution of the `rows`/`cols` tile to
     /// `acc` (indexed by absolute neuron id) — the packed kernel behind
-    /// [`crate::SliceSchedule::sliced_step`]. Partial words at the row
+    /// [`crate::SliceSchedule::sliced_step`]. `xw` is one packed input
+    /// frame in the [`PackedFrames`] word layout. Partial words at the row
     /// range's edges are masked, so the sweep touches exactly the tile's
     /// synapses.
     ///
@@ -677,12 +535,26 @@ impl PackedLayer {
     /// Panics if the ranges or the frame fall outside the layer.
     pub fn accumulate_rows_into(
         &self,
-        x: &PackedFrame,
+        xw: &[u64],
         rows: Range<usize>,
         cols: Range<usize>,
         acc: &mut [i64],
     ) {
-        assert_eq!(x.len(), self.inputs, "input width mismatch");
+        self.accumulate_rows_on(cpu_tier(), xw, rows, cols, acc);
+    }
+
+    /// [`Self::accumulate_rows_into`] on the widest window kernel `tier`
+    /// allows (POPCNT or portable). Panics if `tier` exceeds [`cpu_tier`].
+    fn accumulate_rows_on(
+        &self,
+        tier: CpuTier,
+        xw: &[u64],
+        rows: Range<usize>,
+        cols: Range<usize>,
+        acc: &mut [i64],
+    ) {
+        assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
+        assert_eq!(xw.len(), self.words, "input width mismatch");
         assert!(rows.end <= self.inputs, "row range out of layer");
         assert!(cols.end <= self.outputs, "column range out of layer");
         if rows.is_empty() || cols.is_empty() {
@@ -692,15 +564,11 @@ impl PackedLayer {
         let lo_mask = !0u64 << (rows.start & 63);
         let hi_mask = !0u64 >> (63 - ((rows.end - 1) & 63));
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("popcnt") {
-                // SAFETY: popcnt support verified the line above.
-                return unsafe {
-                    self.window_sweep_popcnt(x.words(), cols, w0, w1, lo_mask, hi_mask, acc)
-                };
-            }
+        if tier >= CpuTier::Popcnt {
+            // SAFETY: the host supports `tier` (asserted above), so POPCNT.
+            return unsafe { self.window_sweep_popcnt(xw, cols, w0, w1, lo_mask, hi_mask, acc) };
         }
-        self.window_sweep(x.words(), cols, w0, w1, lo_mask, hi_mask, acc);
+        self.window_sweep(xw, cols, w0, w1, lo_mask, hi_mask, acc);
     }
 
     /// The masked popcount window behind [`Self::accumulate_rows_into`].
@@ -770,8 +638,10 @@ impl PackedLayer {
 /// stays allocation-free across requests.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
-    x: PackedFrame,
-    y: PackedFrame,
+    /// The current layer output's spike words ([`PackedFrames`] layout).
+    x: Vec<u64>,
+    /// The next layer output's spike words, swapped with `x` per layer.
+    y: Vec<u64>,
     acc: Vec<i64>,
     counts: Vec<u32>,
 }
@@ -786,9 +656,12 @@ impl PredictScratch {
 
 /// A fully bit-packed network: the XNOR/popcount inference engine.
 ///
-/// Built from a [`BinarizedSnn`]; every result is bitwise identical to the
-/// scalar path ([`BinarizedSnn::step_scalar`] /
-/// [`crate::backend::ScalarBackend`]), which is kept as the oracle.
+/// Built from a [`BinarizedSnn`]; every result is bitwise identical to
+/// the network's scalar oracle ([`BinarizedSnn::step_scalar`],
+/// [`BinarizedSnn::forward_counts_scalar`] and
+/// [`BinarizedSnn::predict_scalar`]). This is the only fast per-image
+/// engine; [`PackedSnn::predict_batch_bitplane_packed`] is its batch
+/// counterpart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedSnn {
     layers: Vec<PackedLayer>,
@@ -858,11 +731,9 @@ impl PackedSnn {
     ///
     /// Panics on input-width mismatch.
     pub fn step(&self, input: &[bool]) -> Vec<bool> {
-        let mut frames = PackedFrames::new();
-        self.pack_into(&[input], &mut frames);
-        let mut s = PredictScratch::new();
-        self.step_scratch_words(frames.frame(0), &mut s);
-        s.x.to_bools()
+        // A one-frame run's spike counts are its output spikes.
+        let counts = self.forward_counts(&[input.to_vec()]);
+        counts.iter().map(|&c| c == 1).collect()
     }
 
     /// Runs `frames`, returning per-class spike counts.
@@ -892,14 +763,14 @@ impl PackedSnn {
     /// frame: the first layer consumes `xw` directly, so a
     /// [`PackedFrames`] payload feeds the engine with no copy at all.
     /// The output spikes are left in `s.x`.
-    fn step_scratch_words(&self, xw: &[u64], s: &mut PredictScratch) {
+    fn step_scratch_words(&self, tier: CpuTier, xw: &[u64], s: &mut PredictScratch) {
         let mut layers = self.layers.iter();
         layers
             .next()
             .expect("non-empty")
-            .step_words_into(xw, &mut s.x, &mut s.acc);
+            .step_words_into(tier, xw, &mut s.x, &mut s.acc);
         for layer in layers {
-            layer.step_into(&s.x, &mut s.y, &mut s.acc);
+            layer.step_words_into(tier, &s.x, &mut s.y, &mut s.acc);
             std::mem::swap(&mut s.x, &mut s.y);
         }
     }
@@ -922,10 +793,11 @@ impl PackedSnn {
         assert_eq!(frames.width(), self.input_width(), "input width mismatch");
         counts.clear();
         counts.resize(self.classes(), 0);
+        let tier = cpu_tier();
         for t in 0..frames.len() {
-            self.step_scratch_words(frames.frame(t), s);
+            self.step_scratch_words(tier, frames.frame(t), s);
             for (j, c) in counts.iter_mut().enumerate() {
-                *c += u32::from(s.x.get(j));
+                *c += (s.x[j >> 6] >> (j & 63) & 1) as u32;
             }
         }
     }
@@ -1036,17 +908,30 @@ mod tests {
         (0..len).map(|_| xorshift(st).is_multiple_of(3)).collect()
     }
 
+    /// Every kernel tier this host can run, lowest first.
+    fn host_tiers() -> impl Iterator<Item = CpuTier> {
+        CpuTier::ALL.into_iter().filter(|&t| t <= cpu_tier())
+    }
+
+    /// The full pre-activation of one packed frame on `tier`'s sweep.
+    fn accumulate_on(layer: &PackedLayer, tier: CpuTier, xw: &[u64]) -> Vec<i64> {
+        let mut acc = vec![0; layer.outputs()];
+        layer.full_sweep_on(tier, xw, &mut acc);
+        acc
+    }
+
     #[test]
     fn frame_roundtrip_and_pad_bits() {
         for len in [0usize, 1, 63, 64, 65, 130] {
             let mut st = 7 + len as u64;
             let bits = random_frame(&mut st, len);
-            let f = PackedFrame::from_bools(&bits);
-            assert_eq!(f.to_bools(), bits, "len {len}");
-            assert_eq!(f.count_ones() as usize, bits.iter().filter(|&&b| b).count());
+            let f = PackedFrames::from_bool_frames(len, std::slice::from_ref(&bits));
+            assert_eq!(f.to_bool_frames(), vec![bits.clone()], "len {len}");
+            let ones: u32 = f.frame(0).iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ones as usize, bits.iter().filter(|&&b| b).count());
             // Pad bits stay zero.
-            if len % 64 != 0 && !f.words().is_empty() {
-                let last = *f.words().last().unwrap();
+            if len % 64 != 0 && !f.frame(0).is_empty() {
+                let last = *f.frame(0).last().unwrap();
                 assert_eq!(last >> (len % 64), 0, "pad bits set at len {len}");
             }
         }
@@ -1063,17 +948,33 @@ mod tests {
         }
     }
 
+    /// Every sweep tier the host runs matches the scalar oracle. 8,300
+    /// inputs (130 words) pass the AVX2 sweep's 124-word byte-accumulator
+    /// flush.
     #[test]
     fn accumulate_matches_scalar_across_word_boundaries() {
-        for ins in [1usize, 3, 63, 64, 65, 127, 128, 200] {
+        for ins in [1usize, 3, 63, 64, 65, 127, 128, 200, 8_300] {
             let net = random_net(ins as u64 * 31 + 1, &[(ins, 7)]);
             let layer = &net.layers()[0];
             let mut st = 0xABCDu64 + ins as u64;
-            for _ in 0..8 {
-                let frame = random_frame(&mut st, ins);
-                let packed = layer.packed().accumulate(&PackedFrame::from_bools(&frame));
-                assert_eq!(packed, layer.accumulate(&frame), "ins {ins}");
+            let frames: Vec<Vec<bool>> = (0..8).map(|_| random_frame(&mut st, ins)).collect();
+            let packed = PackedFrames::from_bool_frames(ins, &frames);
+            for tier in host_tiers() {
+                for (frame, xw) in frames.iter().zip(packed.frames()) {
+                    let got = accumulate_on(layer.packed(), tier, xw);
+                    assert_eq!(got, layer.accumulate(frame), "ins {ins} {tier:?}");
+                }
             }
+        }
+        // All ones against fully connected columns adds 8 to every byte
+        // lane per 4-word chunk, so a flush later than 31 chunks wraps a
+        // byte accumulator.
+        let ins = 8_300;
+        let l = BinaryLayer::from_signs([1, -1].repeat(ins), ins, 2, vec![1, 1]);
+        let ones = PackedFrames::from_bool_frames(ins, &[vec![true; ins]]);
+        for tier in host_tiers() {
+            let got = accumulate_on(l.packed(), tier, ones.frame(0));
+            assert_eq!(got, vec![8_300, -8_300], "{tier:?}");
         }
     }
 
@@ -1083,10 +984,9 @@ mod tests {
         let net = BinarizedSnn::from_layers(vec![l]);
         let p = PackedSnn::from_network(&net);
         let frame = vec![true; 100];
+        let packed = PackedFrames::from_bool_frames(100, std::slice::from_ref(&frame));
         assert_eq!(
-            net.layers()[0]
-                .packed()
-                .accumulate(&PackedFrame::from_bools(&frame)),
+            accumulate_on(net.layers()[0].packed(), cpu_tier(), packed.frame(0)),
             vec![-100]
         );
         assert_eq!(p.step(&frame), vec![false]);
@@ -1107,37 +1007,49 @@ mod tests {
     fn forward_counts_and_predict_match_scalar() {
         let net = random_net(17, &[(80, 21), (21, 5)]);
         let p = PackedSnn::from_network(&net);
-        let oracle = crate::backend::ScalarBackend(&net);
         let mut st = 3u64;
         let frames: Vec<Vec<bool>> = (0..12).map(|_| random_frame(&mut st, 80)).collect();
-        assert_eq!(p.forward_counts(&frames), oracle.forward_counts(&frames));
-        assert_eq!(p.predict(&frames), oracle.predict(&frames));
+        assert_eq!(
+            p.forward_counts(&frames),
+            net.forward_counts_scalar(&frames)
+        );
+        assert_eq!(p.predict(&frames), net.predict_scalar(&frames));
         // Empty frame sequences are fine and agree too.
-        assert_eq!(p.forward_counts(&[]), oracle.forward_counts(&[]));
-        assert_eq!(p.predict(&[]), oracle.predict(&[]));
+        assert_eq!(p.forward_counts(&[]), net.forward_counts_scalar(&[]));
+        assert_eq!(p.predict(&[]), net.predict_scalar(&[]));
     }
 
+    /// Tiles summed on every window tier equal the scalar oracle and the
+    /// full sweep on every sweep tier, also past the AVX2 sweep's flush.
     #[test]
     fn accumulate_rows_tiles_sum_to_full_accumulate() {
-        let net = random_net(23, &[(150, 11)]);
-        let pk = net.layers()[0].packed();
-        let mut st = 0x5EEDu64;
-        let frame = PackedFrame::from_bools(&random_frame(&mut st, 150));
-        let full = pk.accumulate(&frame);
-        for tile in [1usize, 16, 64, 65, 100] {
-            let mut acc = vec![0i64; 11];
-            let mut r0 = 0;
-            while r0 < 150 {
-                let r1 = (r0 + tile).min(150);
-                let mut c0 = 0;
-                while c0 < 11 {
-                    let c1 = (c0 + tile).min(11);
-                    pk.accumulate_rows_into(&frame, r0..r1, c0..c1, &mut acc);
-                    c0 = c1;
+        for (ins, seed) in [(150usize, 23u64), (8_300, 29)] {
+            let net = random_net(seed, &[(ins, 11)]);
+            let layer = &net.layers()[0];
+            let pk = layer.packed();
+            let mut st = 0x5EEDu64;
+            let bits = random_frame(&mut st, ins);
+            let frame = PackedFrames::from_bool_frames(ins, std::slice::from_ref(&bits));
+            let xw = frame.frame(0);
+            let full = layer.accumulate(&bits);
+            for tier in host_tiers() {
+                assert_eq!(accumulate_on(pk, tier, xw), full, "ins {ins} {tier:?}");
+                for tile in [1usize, 16, 64, 65, 100] {
+                    let mut acc = vec![0i64; 11];
+                    let mut r0 = 0;
+                    while r0 < ins {
+                        let r1 = (r0 + tile).min(ins);
+                        let mut c0 = 0;
+                        while c0 < 11 {
+                            let c1 = (c0 + tile).min(11);
+                            pk.accumulate_rows_on(tier, xw, r0..r1, c0..c1, &mut acc);
+                            c0 = c1;
+                        }
+                        r0 = r1;
+                    }
+                    assert_eq!(acc, full, "ins {ins} tile {tile} {tier:?}");
                 }
-                r0 = r1;
             }
-            assert_eq!(acc, full, "tile {tile}");
         }
     }
 

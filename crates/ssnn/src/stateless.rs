@@ -267,7 +267,7 @@ mod tests {
         for mask in 0..16u32 {
             let input: Vec<bool> = (0..4).map(|b| mask >> b & 1 == 1).collect();
             let (spikes, _) = exec.step(&input);
-            assert_eq!(spikes, net.step(&input), "mask {mask:04b}");
+            assert_eq!(spikes, net.step_scalar(&input), "mask {mask:04b}");
         }
     }
 

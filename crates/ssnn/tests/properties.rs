@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use sushi_sim::StimulusBuilder;
-use sushi_ssnn::backend::ScalarBackend;
 use sushi_ssnn::batchplane::BitplaneScratch;
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::bitslice::{Slice, SliceSchedule};
@@ -136,7 +135,7 @@ proptest! {
         let net = BinarizedSnn::from_layers(vec![layer]);
         let sched = SliceSchedule::for_network(&net, n);
         let input: Vec<bool> = (0..ins).map(|i| mask >> (i % 64) & 1 == 1).collect();
-        prop_assert_eq!(sched.sliced_step(&net, &input), net.step(&input));
+        prop_assert_eq!(sched.sliced_step(&net, &input), net.step_scalar(&input));
     }
 
     /// With ample counter states and one bucket (inhibitory-first), the
@@ -228,16 +227,12 @@ proptest! {
     ) {
         let net = net_from_seed(seed, ins, hidden, outs);
         let packed = PackedSnn::from_network(&net);
-        let oracle = ScalarBackend(&net);
         let frames = frames_from_seed(seed ^ 0xF00D, n_frames, ins);
         for f in &frames {
             prop_assert_eq!(packed.step(f), net.step_scalar(f));
-            prop_assert_eq!(net.step(f), net.step_scalar(f));
         }
-        prop_assert_eq!(packed.forward_counts(&frames), oracle.forward_counts(&frames));
-        prop_assert_eq!(net.forward_counts(&frames), oracle.forward_counts(&frames));
-        prop_assert_eq!(packed.predict(&frames), oracle.predict(&frames));
-        prop_assert_eq!(net.predict(&frames), oracle.predict(&frames));
+        prop_assert_eq!(packed.forward_counts(&frames), net.forward_counts_scalar(&frames));
+        prop_assert_eq!(packed.predict(&frames), net.predict_scalar(&frames));
     }
 
     /// The bitplane batch engine is a bitwise-exact drop-in for both the
@@ -255,7 +250,6 @@ proptest! {
     ) {
         let net = net_from_seed(seed, ins, hidden, outs);
         let packed = PackedSnn::from_network(&net);
-        let oracle = ScalarBackend(&net);
         // Frame counts vary per item (0..=3) so lanes go inactive at
         // different steps within one 64-lane group.
         let items: Vec<Vec<Vec<bool>>> = (0..n_items)
@@ -271,12 +265,12 @@ proptest! {
             packed.bitplane_group_counts_packed(group, &mut s, out);
         }
         for (it, got) in items.iter().zip(&counts) {
-            prop_assert_eq!(got, &oracle.forward_counts(it));
+            prop_assert_eq!(got, &net.forward_counts_scalar(it));
             prop_assert_eq!(got, &packed.forward_counts(it));
         }
         let preds = packed.predict_batch_bitplane_packed(&packed_items, 1);
         prop_assert_eq!(&preds, &packed.predict_batch(&items, 1));
-        let scalar_preds: Vec<usize> = items.iter().map(|it| oracle.predict(it)).collect();
+        let scalar_preds: Vec<usize> = items.iter().map(|it| net.predict_scalar(it)).collect();
         prop_assert_eq!(&preds, &scalar_preds);
         prop_assert_eq!(&packed.predict_batch_bitplane_packed(&packed_items, 3), &preds);
     }

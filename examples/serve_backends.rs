@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use sushi_serve::{PackedRequest, ServeConfig, Server};
-use sushi_ssnn::{BinarizedSnn, BinaryLayer, PackedSnn, ScalarBackend, BITPLANE_MIN_LANES};
+use sushi_ssnn::{BinarizedSnn, BinaryLayer, PackedSnn, BITPLANE_MIN_LANES};
 
 fn main() {
     // --- A small deterministic 64-32-10 network ----------------------
@@ -50,8 +50,7 @@ fn main() {
         .collect();
 
     // --- 1. Offline: every engine agrees -----------------------------
-    let oracle = ScalarBackend(&net);
-    let reference: Vec<usize> = images.iter().map(|img| oracle.predict(img)).collect();
+    let reference: Vec<usize> = images.iter().map(|img| net.predict_scalar(img)).collect();
     let per_image = packed.predict_batch_packed(&requests, 1);
     let bitplane = packed.predict_batch_bitplane_packed(&requests, 1);
     assert_eq!(per_image, reference, "per-image packed == scalar oracle");

@@ -38,6 +38,18 @@ if [[ -n "$unused" ]]; then
   exit 1
 fi
 
+echo "==> one CPU-feature probe (sushi_par::cpu_tier)"
+# Every SIMD kernel matches on the tier sushi-par probes; a second probe
+# elsewhere would let kernels disagree on what the host supports. The
+# bare name also catches `use ... as` aliases of the macro.
+probes="$(grep -rl --include='*.rs' --exclude-dir=target --exclude-dir=.git \
+  'is_x86_feature_detected' . | grep -v '^\./crates/par/' || true)"
+if [[ -n "$probes" ]]; then
+  echo "is_x86_feature_detected outside crates/par/:"
+  echo "$probes"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -76,7 +76,7 @@ fn bit_slicing_preserves_every_step_output() {
         for f in &frames {
             assert_eq!(
                 program.schedule.sliced_step(&program.net, f),
-                program.net.step(f),
+                program.net.step_scalar(f),
                 "sample {i}"
             );
         }

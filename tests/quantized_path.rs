@@ -6,6 +6,7 @@ use sushi_snn::data::synth_digits;
 use sushi_snn::metrics::accuracy;
 use sushi_snn::train::{TrainConfig, Trainer};
 use sushi_ssnn::binarize::BinarizedSnn;
+use sushi_ssnn::packed::PackedSnn;
 use sushi_ssnn::quantize::QuantizedSnn;
 
 fn float_model() -> (sushi_snn::train::TrainedSnn, sushi_snn::data::Dataset) {
@@ -31,7 +32,7 @@ fn frames_for(model: &sushi_snn::train::TrainedSnn, img: &[f32], id: u64) -> Vec
 #[test]
 fn quantization_beats_binarization_on_float_models() {
     let (model, test) = float_model();
-    let bin = BinarizedSnn::from_trained(&model);
+    let bin = PackedSnn::from_network(&BinarizedSnn::from_trained(&model));
     let q8 = QuantizedSnn::from_trained(&model, 8);
     let mut bin_preds = Vec::new();
     let mut q_preds = Vec::new();
