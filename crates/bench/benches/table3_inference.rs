@@ -119,9 +119,9 @@ fn bench_ssnn_bitplane(c: &mut Criterion) {
     g.bench_function("packed_predict_batch64_784_800_10", |b| {
         b.iter(|| packed.predict_batch_packed(&items, 1))
     });
-    // Shallow lane groups: a group's fixed cost is shared by fewer
-    // images, and the crossover with per-image packed lies here.
-    for lanes in [1usize, 2, 4, 8] {
+    // Shallower lane groups: a group's fixed cost is shared by fewer
+    // images, and the crossover with per-image packed lies in this range.
+    for lanes in [1usize, 2, 4, 8, 16, 32] {
         g.throughput(Throughput::Elements(lanes as u64));
         g.bench_function(format!("bitplane_predict_batch{lanes}_784_800_10"), |b| {
             b.iter(|| packed.predict_batch_bitplane_packed(&items[..lanes], 1))

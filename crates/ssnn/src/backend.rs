@@ -10,7 +10,9 @@
 //!   sweep, the lowest latency for a lone image;
 //! * the 64-lane bitplane engine ([`crate::batchplane`]): up to 64
 //!   images per weight-stationary sweep. It pays one transpose per lane
-//!   group, so it only wins once the batch is deep enough.
+//!   group, so it only wins once the batch is deep enough: near 16
+//!   lanes on an AVX-512 host, where the per-image engine runs its
+//!   eight-neurons-per-pass block step.
 //!
 //! The batch depth alone picks between them: from
 //! [`BITPLANE_MIN_LANES`] images on, the bitplane engine; below it, the
@@ -38,10 +40,13 @@
 /// micro-batch of at least this many images runs as one lane group,
 /// a shallower one image by image on the packed engine.
 ///
-/// On the 784–800–10 paper shape (2-vCPU AVX-512 VM) a lone image costs
-/// bitplane about 4× what it costs per-image packed, the two break even
-/// near 4 lanes, and at 8 lanes bitplane is about 2× faster per image
-/// (EXPERIMENTS.md, "Bitplane crossover").
+/// On the 784–800–10 paper shape (2-vCPU AVX-512 VM, where per-image
+/// packed runs its AVX-512 block step) a lone image costs bitplane about
+/// 15× what it costs per-image packed, 8 lanes about 1.5× per image, the
+/// two break even near 16 lanes, and at 64 lanes bitplane is about 1.4×
+/// faster per image (EXPERIMENTS.md, "Bitplane crossover"). The value
+/// dates from when the break-even sat near 4 lanes; it moves only with
+/// evidence that serving latency does not get worse.
 pub const BITPLANE_MIN_LANES: usize = 8;
 
 /// Argmax with ties to the lowest index, matching the float reference —

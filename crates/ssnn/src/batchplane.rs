@@ -2,13 +2,18 @@
 //!
 //! The per-image packed engine ([`crate::packed`]) is *spike-major*: one
 //! image per sweep, with every neuron's `conn`/`pos` masks re-streamed
-//! from cache for every image. On the paper shape that is ~156 KB of mask
-//! traffic per frame per image — the sweep is memory-bound long before it
-//! is popcount-bound. A [`BitplaneBatch`] transposes the batch instead:
-//! the same bit position of up to 64 images shares one `u64` word
-//! ("bitplane" layout), so a *weight-stationary* sweep loads each
-//! neuron's masks **once per 64 images** and holds the whole batch's
-//! input words (~6.6 KB at 784 bits) in L1:
+//! from cache for every image (~156 KB per frame at the paper shape).
+//! That traffic is not what bounds one image. A one-neuron-at-a-time
+//! AVX-512 sweep over the same masks stayed in the AVX2 sweep's range,
+//! while the per-image block kernel, which shares one reduction and one
+//! threshold compare among eight neurons, runs 2.6–3.9× faster
+//! (EXPERIMENTS.md, "Per-image AVX-512 block kernel"): the per-neuron
+//! horizontal sums and branches bound it. A
+//! [`BitplaneBatch`] transposes the batch instead: the same bit position
+//! of up to 64 images shares one `u64` word ("bitplane" layout), so a
+//! *weight-stationary* sweep loads each neuron's masks **once per 64
+//! images** and holds the whole batch's input words (~6.6 KB at 784
+//! bits) in L1:
 //!
 //! ```text
 //! plane[i]  = bit i of lanes 0..64      (one u64 per input bit)
@@ -29,10 +34,9 @@
 //! The sweep matches on [`sushi_par::cpu_tier`] like the per-image
 //! kernels — baseline → POPCNT → AVX2 (Mula byte popcount per 4 lanes) →
 //! AVX-512/VPOPCNTDQ (8 lanes per `vpopcntq`, fired masks straight from
-//! `cmpge`). The wide
-//! tier is what this layout exists for: with lanes as the vector axis
-//! there are no per-image horizontal reductions and no half-empty words,
-//! so AVX-512 finally pays for itself (see DESIGN.md).
+//! `cmpge`). With lanes as the vector axis there are no per-image
+//! horizontal reductions and no half-empty words at all (see
+//! DESIGN.md).
 //!
 //! Input arrives as [`PackedFrames`], the per-image engine's request
 //! type: each 64-bit block of a lane group is one word copy per lane
@@ -543,15 +547,25 @@ impl PackedSnn {
     ///
     /// # Panics
     ///
-    /// Panics on input-width mismatch or if `items` has more than 64
-    /// entries.
+    /// Panics on input-width mismatch, if `items` has more than 64
+    /// entries, or if `counts` does not hold exactly one buffer per item.
     pub fn bitplane_group_counts_packed(
         &self,
         items: &[PackedFrames],
         s: &mut BitplaneScratch,
         counts: &mut [Vec<u32>],
     ) {
-        debug_assert!(items.len() <= 64 && counts.len() == items.len());
+        assert!(
+            items.len() <= 64,
+            "a lane group holds at most 64 items, got {}",
+            items.len()
+        );
+        assert!(
+            counts.len() == items.len(),
+            "{} count buffers for {} items",
+            counts.len(),
+            items.len()
+        );
         let classes = self.classes();
         let width = self.input_width();
         for it in items {
@@ -969,6 +983,18 @@ mod tests {
         for (it, got) in items.iter().zip(&counts) {
             assert_eq!(&p.forward_counts(it), got);
         }
+    }
+
+    /// A `counts` shorter than `items` is rejected up front with both
+    /// lengths, in release builds too, before any lane is stepped.
+    #[test]
+    #[should_panic(expected = "3 count buffers for 4 items")]
+    fn packed_group_counts_reject_short_counts() {
+        let net = random_net(1, &[(10, 3)]);
+        let p = PackedSnn::from_network(&net);
+        let items = vec![PackedFrames::from_bool_frames(10, &[vec![false; 10]]); 4];
+        let mut counts = vec![Vec::new(); 3];
+        p.bitplane_group_counts_packed(&items, &mut BitplaneScratch::new(), &mut counts);
     }
 
     #[test]

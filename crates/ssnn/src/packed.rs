@@ -22,6 +22,17 @@
 //! bits past `inputs` are kept zero by construction on both the column
 //! and the frame side.
 //!
+//! Steps are stateless, so an image's frames run through each layer in
+//! blocks of up to eight, one block's spike words per layer output in
+//! [`PredictScratch`]. On [`CpuTier::Avx512`] a layer's block step is
+//! one kernel that takes eight neurons per pass: per frame, eight `zmm`
+//! accumulators over 8-word chunks of the eight columns, one
+//! transpose-add that leaves neuron `k`'s sum in lane `k`, and one
+//! vector `cmpge` against the group's thresholds for its eight output
+//! bits — no horizontal sum and no branch per neuron, and the group's
+//! masks stay in L1 across the block. Lower tiers sweep the block one
+//! frame at a time (AVX2, POPCNT or portable).
+//!
 //! [`PackedSnn::predict_batch`] fans a dataset over scoped worker threads
 //! in the `sushi_sim::BatchRunner` style: items are assigned to workers in
 //! contiguous chunks and each worker writes only its own output slots, so
@@ -44,6 +55,11 @@ use crate::backend::argmax_low;
 use crate::binarize::BinarizedSnn;
 use std::ops::Range;
 use sushi_par::{cpu_tier, fan_out, CpuTier};
+
+/// Frames per block of the per-image forward pass: the AVX-512 block
+/// step reuses a neuron group's masks across this many frames, and
+/// [`PredictScratch`] holds this many frames per layer output.
+const FRAME_BLOCK: usize = 8;
 
 /// A sequence of equal-width frames, each bit-packed into
 /// `width.div_ceil(64)` consecutive `u64` words, little end first: bit
@@ -488,10 +504,11 @@ impl PackedLayer {
         }
     }
 
-    /// The full sweep on the widest kernel `tier` allows: AVX2 from
-    /// [`CpuTier::Avx2`] up (the per-image sweep has no AVX-512 build),
-    /// then POPCNT, then the portable body. Panics if `tier`
-    /// exceeds [`cpu_tier`].
+    /// The full one-frame sweep on the widest kernel `tier` allows: AVX2
+    /// from [`CpuTier::Avx2`] up, then POPCNT, then the portable body.
+    /// The forward pass only sweeps below [`CpuTier::Avx512`], which runs
+    /// the grouped block kernel instead (`step_block_avx512`). Panics if
+    /// `tier` exceeds [`cpu_tier`].
     fn full_sweep_on(&self, tier: CpuTier, xw: &[u64], acc: &mut [i64]) {
         assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
         assert_eq!(xw.len(), self.words, "input word count mismatch");
@@ -506,19 +523,132 @@ impl PackedLayer {
         self.full_sweep(xw, acc);
     }
 
-    /// One end-of-step evaluation on a packed input frame `xw` of this
-    /// layer's width (pad bits zero): accumulates into `acc` and
-    /// thresholds into `out`, the output spikes packed in the
-    /// [`PackedFrames`] word layout for the next layer.
-    fn step_words_into(&self, tier: CpuTier, xw: &[u64], out: &mut Vec<u64>, acc: &mut Vec<i64>) {
-        acc.clear();
-        acc.resize(self.outputs, 0);
-        self.full_sweep_on(tier, xw, acc);
+    /// One end-of-step evaluation of `frames` packed input frames held
+    /// back to back in `x` ([`PackedFrames`] word layout, pad bits zero):
+    /// writes their output spikes to `out` in the same layout, the next
+    /// layer's input block. On [`CpuTier::Avx512`] the grouped kernel
+    /// takes the whole block; below it each frame is swept into `acc`
+    /// and thresholded. Panics if `tier` exceeds [`cpu_tier`].
+    fn step_block_on(
+        &self,
+        tier: CpuTier,
+        x: &[u64],
+        frames: usize,
+        out: &mut Vec<u64>,
+        acc: &mut Vec<i64>,
+    ) {
+        assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
+        assert_eq!(x.len(), frames * self.words, "input word count mismatch");
+        let out_words = self.outputs.div_ceil(64);
         out.clear();
-        out.resize(self.outputs.div_ceil(64), 0);
-        for (j, (&a, &t)) in acc.iter().zip(&self.thresholds).enumerate() {
-            if a >= t {
-                out[j >> 6] |= 1u64 << (j & 63);
+        out.resize(frames * out_words, 0);
+        #[cfg(target_arch = "x86_64")]
+        if tier == CpuTier::Avx512 {
+            // SAFETY: the host supports `tier` (asserted above), so
+            // AVX-512F and VPOPCNTDQ, and both blocks are sized above.
+            return unsafe { self.step_block_avx512(x, frames, out) };
+        }
+        for f in 0..frames {
+            acc.clear();
+            acc.resize(self.outputs, 0);
+            self.full_sweep_on(tier, &x[f * self.words..(f + 1) * self.words], acc);
+            let y = &mut out[f * out_words..(f + 1) * out_words];
+            for (j, (&a, &t)) in acc.iter().zip(&self.thresholds).enumerate() {
+                y[j >> 6] |= u64::from(a >= t) << (j & 63);
+            }
+        }
+    }
+
+    /// The AVX-512/VPOPCNTDQ block step, eight neurons per pass over the
+    /// block. Per frame, eight `zmm` accumulators take
+    /// `popcnt(x & conn & pos) - popcnt(x & conn & !pos)` per 8-word
+    /// chunk of the group's columns, the tail chunk through masked
+    /// loads. One transpose-add puts neuron `k`'s sum in lane `k`, and
+    /// one `cmpge` against the group's thresholds yields its eight
+    /// output bits, a whole byte of the output frame. The group's masks
+    /// stay in L1 across the block's frames.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified `avx512f` and `avx512vpopcntdq`
+    /// support at runtime. `x` must hold `frames * words` words and
+    /// `out` `frames * outputs.div_ceil(64)` zeroed words.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn step_block_avx512(&self, x: &[u64], frames: usize, out: &mut [u64]) {
+        use std::arch::x86_64::{
+            __m512i, __mmask8, _mm512_add_epi64, _mm512_mask_cmpge_epi64_mask,
+            _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_setzero_si512,
+            _mm512_shuffle_i64x2, _mm512_sub_epi64, _mm512_ternarylogic_epi64,
+            _mm512_unpackhi_epi64, _mm512_unpacklo_epi64,
+        };
+        let words = self.words;
+        let out_words = self.outputs.div_ceil(64);
+        let (conn, pos) = (
+            self.conn.as_ptr().cast::<i64>(),
+            self.pos.as_ptr().cast::<i64>(),
+        );
+        let full: __mmask8 = !0;
+        let tail: __mmask8 = (1 << (words % 8)) - 1;
+        // Adds the `mask`ed words of one 8-word chunk at word `w` of the
+        // frame at `xf` to the group's accumulators.
+        let chunk = |acc: &mut [__m512i; 8], cols: &[usize; 8], xf: *const i64, w, mask| {
+            // SAFETY: callers pass `full` only when `w + 8 <= words` and
+            // `tail` for the last `words % 8` words, so every word read
+            // lies in its frame or column; masked-off words are not read.
+            unsafe {
+                let xv = _mm512_maskz_loadu_epi64(mask, xf.add(w));
+                for (a, &col) in acc.iter_mut().zip(cols) {
+                    let c = _mm512_maskz_loadu_epi64(mask, conn.add(col + w));
+                    let p = _mm512_maskz_loadu_epi64(mask, pos.add(col + w));
+                    // One ternary-logic op each: x & c & p, and x & c & !p.
+                    let exc = _mm512_popcnt_epi64(_mm512_ternarylogic_epi64::<0x80>(xv, c, p));
+                    let inh = _mm512_popcnt_epi64(_mm512_ternarylogic_epi64::<0x40>(xv, c, p));
+                    *a = _mm512_add_epi64(*a, _mm512_sub_epi64(exc, inh));
+                }
+            }
+        };
+        // Neuron `k`'s eight partial sums into lane `k`: add unpacked
+        // neighbours, then fold 256-bit halves, then 128-bit lanes.
+        let transpose_add = |a: [__m512i; 8]| {
+            let pair =
+                |u, v| _mm512_add_epi64(_mm512_unpacklo_epi64(u, v), _mm512_unpackhi_epi64(u, v));
+            let halves = |u, v| {
+                _mm512_add_epi64(
+                    _mm512_shuffle_i64x2::<0x44>(u, v),
+                    _mm512_shuffle_i64x2::<0xEE>(u, v),
+                )
+            };
+            let q0 = halves(pair(a[0], a[1]), pair(a[2], a[3]));
+            let q1 = halves(pair(a[4], a[5]), pair(a[6], a[7]));
+            _mm512_add_epi64(
+                _mm512_shuffle_i64x2::<0x88>(q0, q1),
+                _mm512_shuffle_i64x2::<0xDD>(q0, q1),
+            )
+        };
+        for j0 in (0..self.outputs).step_by(8) {
+            let live = (self.outputs - j0).min(8);
+            let lanes: __mmask8 = ((1u16 << live) - 1) as u8;
+            // Pad lanes of a partial group re-read its last column, so
+            // every load stays in bounds; `lanes` keeps them from firing.
+            let cols: [usize; 8] = std::array::from_fn(|k| (j0 + k.min(live - 1)) * words);
+            // SAFETY: lanes past `live` are masked off, so the load stays
+            // inside `thresholds`.
+            let t = unsafe { _mm512_maskz_loadu_epi64(lanes, self.thresholds.as_ptr().add(j0)) };
+            for f in 0..frames {
+                // SAFETY: `x` holds `frames` frames of `words` words.
+                let xf = unsafe { x.as_ptr().cast::<i64>().add(f * words) };
+                let mut acc = [_mm512_setzero_si512(); 8];
+                let mut w = 0;
+                while w + 8 <= words {
+                    chunk(&mut acc, &cols, xf, w, full);
+                    w += 8;
+                }
+                if w < words {
+                    chunk(&mut acc, &cols, xf, w, tail);
+                }
+                let fired = _mm512_mask_cmpge_epi64_mask(lanes, transpose_add(acc), t);
+                out[f * out_words + j0 / 64] |= u64::from(fired) << (j0 % 64);
             }
         }
     }
@@ -635,13 +765,17 @@ impl PackedLayer {
 /// holds one per thread and passes it to
 /// [`PackedSnn::predict_packed_with`] /
 /// [`PackedSnn::forward_counts_packed_into`] so steady-state inference
-/// stays allocation-free across requests.
+/// stays allocation-free across requests. The buffers hold one block of
+/// at most eight frames per layer output, so they grow with the network
+/// and the block, never with a request's frame count.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
-    /// The current layer output's spike words ([`PackedFrames`] layout).
+    /// The current layer output's spike words for one frame block
+    /// ([`PackedFrames`] layout, frames back to back).
     x: Vec<u64>,
-    /// The next layer output's spike words, swapped with `x` per layer.
+    /// The next layer output's block, swapped with `x` per layer.
     y: Vec<u64>,
+    /// One frame's pre-activations, for the tiers below AVX-512.
     acc: Vec<i64>,
     counts: Vec<u32>,
 }
@@ -759,26 +893,14 @@ impl PackedSnn {
         argmax_low(&self.forward_counts(frames))
     }
 
-    /// One time step of the whole network on a borrowed packed input
-    /// frame: the first layer consumes `xw` directly, so a
-    /// [`PackedFrames`] payload feeds the engine with no copy at all.
-    /// The output spikes are left in `s.x`.
-    fn step_scratch_words(&self, tier: CpuTier, xw: &[u64], s: &mut PredictScratch) {
-        let mut layers = self.layers.iter();
-        layers
-            .next()
-            .expect("non-empty")
-            .step_words_into(tier, xw, &mut s.x, &mut s.acc);
-        for layer in layers {
-            layer.step_words_into(tier, &s.x, &mut s.y, &mut s.acc);
-            std::mem::swap(&mut s.x, &mut s.y);
-        }
-    }
-
     /// Per-class spike counts of an already-packed frame sequence,
     /// written into a caller-owned `counts` buffer (cleared and resized
     /// here) — the fully allocation-free inner loop of the per-image
     /// engine, which every other per-image entry point runs.
+    ///
+    /// The frames run through each layer in blocks of up to eight; the
+    /// first layer reads a block straight from the request's words, so
+    /// a [`PackedFrames`] payload feeds the engine with no copy at all.
     ///
     /// # Panics
     ///
@@ -794,10 +916,21 @@ impl PackedSnn {
         counts.clear();
         counts.resize(self.classes(), 0);
         let tier = cpu_tier();
-        for t in 0..frames.len() {
-            self.step_scratch_words(tier, frames.frame(t), s);
-            for (j, c) in counts.iter_mut().enumerate() {
-                *c += (s.x[j >> 6] >> (j & 63) & 1) as u32;
+        let (first, rest) = self.layers.split_first().expect("non-empty");
+        let (in_words, class_words) = (frames.words_per_frame(), self.classes().div_ceil(64));
+        for t0 in (0..frames.len()).step_by(FRAME_BLOCK) {
+            let n = FRAME_BLOCK.min(frames.len() - t0);
+            let block = &frames.words[t0 * in_words..(t0 + n) * in_words];
+            first.step_block_on(tier, block, n, &mut s.x, &mut s.acc);
+            for layer in rest {
+                layer.step_block_on(tier, &s.x, n, &mut s.y, &mut s.acc);
+                std::mem::swap(&mut s.x, &mut s.y);
+            }
+            for f in 0..n {
+                let y = &s.x[f * class_words..(f + 1) * class_words];
+                for (j, c) in counts.iter_mut().enumerate() {
+                    *c += (y[j >> 6] >> (j & 63) & 1) as u32;
+                }
             }
         }
     }
@@ -950,7 +1083,8 @@ mod tests {
 
     /// Every sweep tier the host runs matches the scalar oracle. 8,300
     /// inputs (130 words) pass the AVX2 sweep's 124-word byte-accumulator
-    /// flush.
+    /// flush. The AVX-512 tier sweeps with AVX2 here; its block kernel is
+    /// pinned by `block_step_matches_scalar_on_every_tier`.
     #[test]
     fn accumulate_matches_scalar_across_word_boundaries() {
         for ins in [1usize, 3, 63, 64, 65, 127, 128, 200, 8_300] {
@@ -975,6 +1109,71 @@ mod tests {
         for tier in host_tiers() {
             let got = accumulate_on(l.packed(), tier, ones.frame(0));
             assert_eq!(got, vec![8_300, -8_300], "{tier:?}");
+        }
+    }
+
+    /// The block step on every host tier matches the scalar oracle frame
+    /// by frame, pad bits included: partial and whole neuron groups
+    /// (1/7/8/9/17 outputs), tail-only, tail-free, 13- and 130-word
+    /// inputs, 0 to 17 frames in one block, and every neuron cycling
+    /// through thresholds that never, sometimes and always fire. Pad
+    /// lanes of a partial group must stay silent even when every live
+    /// lane fires.
+    #[test]
+    fn block_step_matches_scalar_on_every_tier() {
+        for ins in [1usize, 63, 64, 512, 513, 784, 8_300] {
+            let n = ins as i64;
+            let levels = [i64::MIN, -n - 1, 0, n, n + 1, i64::MAX];
+            let mut st = 0xB10Cu64 + ins as u64;
+            let frames: Vec<Vec<bool>> = (0..17).map(|_| random_frame(&mut st, ins)).collect();
+            let packed = PackedFrames::from_bool_frames(ins, &frames);
+            for outs in [1usize, 7, 8, 9, 17] {
+                let signs: Vec<i8> = (0..ins * outs)
+                    .map(|_| (xorshift(&mut st) % 3) as i8 - 1)
+                    .collect();
+                for shift in 0..levels.len() {
+                    let thresholds = (0..outs)
+                        .map(|j| levels[(j + shift) % levels.len()])
+                        .collect();
+                    let l = BinaryLayer::from_signs(signs.clone(), ins, outs, thresholds);
+                    let net = BinarizedSnn::from_layers(vec![l]);
+                    let spikes: Vec<Vec<bool>> =
+                        frames.iter().map(|f| net.step_scalar(f)).collect();
+                    for count in [0usize, 1, 8, 9, 17] {
+                        let want = PackedFrames::from_bool_frames(outs, &spikes[..count]);
+                        let x = &packed.words[..count * packed.words_per_frame()];
+                        for tier in host_tiers() {
+                            let (mut out, mut acc) = (Vec::new(), Vec::new());
+                            net.layers()[0]
+                                .packed()
+                                .step_block_on(tier, x, count, &mut out, &mut acc);
+                            assert_eq!(
+                                out, want.words,
+                                "ins {ins} outs {outs} shift {shift} frames {count} {tier:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 1,000-frame request leaves one block of spike words per layer
+    /// output in the scratch, not a copy of the request.
+    #[test]
+    fn scratch_holds_one_frame_block_after_a_long_request() {
+        let net = random_net(19, &[(130, 70), (70, 5)]);
+        let p = PackedSnn::from_network(&net);
+        let mut st = 0x1000u64;
+        let frames: Vec<Vec<bool>> = (0..1_000).map(|_| random_frame(&mut st, 130)).collect();
+        let packed = PackedFrames::from_bool_frames(130, &frames);
+        let mut s = PredictScratch::new();
+        let mut counts = Vec::new();
+        p.forward_counts_packed_into(&packed, &mut s, &mut counts);
+        assert_eq!(counts, net.forward_counts_scalar(&frames));
+        let block = FRAME_BLOCK * 70usize.div_ceil(64);
+        for buf in [&s.x, &s.y] {
+            assert!(buf.capacity() <= block, "{} words", buf.capacity());
         }
     }
 

@@ -18,9 +18,9 @@ fn signs(max_len: usize) -> impl Strategy<Value = Vec<i8>> {
 }
 
 /// Deterministically expands a seed into a random network whose layer
-/// widths deliberately straddle `u64` word boundaries (1..≈150 inputs),
-/// with zero signs (open switches) mixed in and column 0 of the first
-/// layer forced all-inhibitory.
+/// widths deliberately straddle `u64` word boundaries (callers draw 1 to
+/// ~1,100 inputs), with zero signs (open switches) mixed in and column 0
+/// of the first layer forced all-inhibitory.
 fn net_from_seed(seed: u64, ins: usize, hidden: usize, outs: usize) -> BinarizedSnn {
     let mut st = seed | 1;
     let mut next = move || {
@@ -215,15 +215,16 @@ proptest! {
 
     /// The packed XNOR/popcount engine is a bitwise-exact drop-in for the
     /// scalar oracle: spikes, counts and predictions agree for random
-    /// layer shapes (widths straddling the 64-bit word boundary, zero
-    /// signs, an all-inhibitory column) and frame sets including empty.
+    /// layer shapes (widths straddling the 64-bit word boundary and past
+    /// 8-word chunks, zero signs, an all-inhibitory column) and frame
+    /// sets from empty to past two 8-frame blocks.
     #[test]
     fn packed_matches_scalar(
-        ins in 1usize..150,
+        ins in 1usize..1_100,
         hidden in 1usize..70,
         outs in 1usize..12,
         seed in any::<u64>(),
-        n_frames in 0usize..8,
+        n_frames in 0usize..=20,
     ) {
         let net = net_from_seed(seed, ins, hidden, outs);
         let packed = PackedSnn::from_network(&net);

@@ -69,6 +69,12 @@ grep -q "bitplane batch engine" <<<"$bench_out"
 grep -q "serving pipeline (sharded micro-batching)" <<<"$bench_out"
 grep -q "shards .* | executors " <<<"$bench_out"
 grep -q "training kernels" <<<"$bench_out"
+# The verdicts, not just the headers: scalar, packed and bitplane agree
+# on the compiled network, and served classes equal the offline ones.
+for verdict in "predictions agree: true" "served classes match offline: true"; do
+  grep -q "$verdict" <<<"$bench_out" \
+    || { echo "bench smoke run did not print '$verdict'" >&2; exit 1; }
+done
 
 echo "==> perfbench build + tests (its own workspace)"
 # The benchmark depends on the crates' public API by path; build and
