@@ -85,7 +85,7 @@ fn bench_ssnn_packed(c: &mut Criterion) {
     g.bench_function("packed_predict_784_800_10", |b| {
         b.iter(|| -> usize { images.iter().map(|img| packed.predict(img)).sum() })
     });
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = sushi_par::host_workers();
     g.bench_function(format!("packed_predict_batch_{workers}_workers"), |b| {
         b.iter(|| packed.predict_batch(&images, workers))
     });
@@ -155,7 +155,7 @@ fn bench(c: &mut Criterion) {
     // "host_workers" (not the count) keeps the id distinct from the fixed
     // 1-worker row above — a 1-CPU host used to produce the colliding pair
     // `evaluate_60_samples_1_worker` / `..._1_workers` in BENCH_ssnn.json.
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = sushi_par::host_workers();
     g.bench_function("evaluate_60_samples_host_workers", |b| {
         b.iter(|| {
             chip.evaluate(&program, &slice, &EvalOptions::new().workers(workers))

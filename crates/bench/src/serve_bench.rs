@@ -84,7 +84,7 @@ pub fn serve_report(quick: bool) -> String {
     } else {
         Duration::from_secs(3)
     };
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let host_cpus = sushi_par::host_workers();
     let snn = paper_shape_packed(0xD1CE);
     let images = spike_images(0xACED);
     // Served results must be bitwise identical to offline inference; pin

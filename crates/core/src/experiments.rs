@@ -981,7 +981,7 @@ pub fn bench_metrics(scale: Scale) -> String {
     // classes checked bitwise against the offline packed predictions.
     // The default zero hold dispatches at once: one client per shard
     // never fills a batch, so any hold would be all this row measured.
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let host_cpus = sushi_par::host_workers();
     let shards = host_cpus.min(4);
     let server = sushi_serve::Server::start(
         packed.clone(),
@@ -1073,7 +1073,7 @@ pub fn bench_metrics(scale: Scale) -> String {
         fwd_rate,
         bwd_rate,
         matmul_tier.name(),
-        sushi_snn::WorkerPool::shared().workers(),
+        sushi_par::host_workers(),
     ));
     out
 }

@@ -96,7 +96,8 @@ impl fmt::Display for TextTable {
     }
 }
 
-/// Metrics for one behavioural-evaluation worker thread.
+/// Metrics for one behavioural-evaluation worker (one range of the chunk
+/// plan).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalWorkerMetrics {
     /// Worker index (chunk order).

@@ -1,13 +1,16 @@
-//! Deterministic fan-out of contiguous work ranges over scoped threads.
+//! Deterministic fan-out of contiguous work ranges over one persistent
+//! thread pool.
 //!
 //! Every batch path in the workspace (the simulator's `BatchRunner`, the
-//! chip evaluator and the SSNN batch predictors) splits its items the same
-//! way: [`chunk_plan`] cuts them into contiguous near-equal ranges, and
-//! [`fan_out`] runs one range per scoped thread, each writing only its own
-//! slice of the output. Range boundaries depend on the item count and the
-//! worker count alone, and every item is computed by the same sequential
-//! code whichever thread runs it, so callers get results in input order
-//! that are bitwise identical to a sequential pass.
+//! chip evaluator, the SSNN batch predictors and the training matmuls)
+//! splits its items the same way: [`chunk_plan`] cuts them into contiguous
+//! near-equal ranges, and [`fan_out`] runs the ranges on a process-wide
+//! pool of [`host_workers`]` - 1` long-lived threads plus the calling
+//! thread, each range writing only its own slice of the output. Range
+//! boundaries depend on the item count and the worker count alone, and
+//! every item is computed by the same sequential code whichever thread
+//! runs it, so callers get results in input order that are bitwise
+//! identical to a sequential pass.
 //!
 //! # Examples
 //!
@@ -27,9 +30,14 @@
 //! The crate also holds the workspace's one CPU-feature probe,
 //! [`cpu_tier`]: every SIMD kernel (the packed and bitplane popcount
 //! sweeps, the training matmuls) matches on the [`CpuTier`] it returns
-//! instead of probing features itself.
+//! instead of probing features itself. Its one host-size lookup,
+//! [`host_workers`], sizes the pool and every default worker count.
 
+mod pool;
+
+use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 /// The nested CPU feature tiers the workspace's SIMD kernels are
@@ -70,6 +78,14 @@ impl CpuTier {
 pub fn cpu_tier() -> CpuTier {
     static TIER: OnceLock<CpuTier> = OnceLock::new();
     *TIER.get_or_init(probe_tier)
+}
+
+/// The host's available parallelism (at least 1), looked up once per
+/// process and cached. The lookup reads cgroup files (28 µs a call on a
+/// 2-vCPU VM), so every default worker count reads this instead.
+pub fn host_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Climbs the tiers while the host has every feature of the next one.
@@ -118,21 +134,29 @@ pub fn chunk_plan(items: usize, workers: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Runs `work` over `out` in contiguous ranges on at most `workers`
-/// threads and returns each range's result in plan order.
+/// Runs `work` over `out` in at most `workers` contiguous ranges and
+/// returns each range's result in plan order.
 ///
 /// The plan is [`chunk_plan`] over `out.len().div_ceil(grain)` units of
 /// `grain` items, so every range except the last is a whole number of
 /// units. `work` receives a range of indices into `out` (and so into any
 /// input slice of the same length) together with that range's output
-/// slice. A plan of one range runs on the calling thread; otherwise each
-/// range gets its own `std::thread::scope` thread.
+/// slice. A plan of one range runs on the calling thread. Otherwise the
+/// calling thread runs the first range and the rest go to the
+/// process-wide pool, whose [`host_workers`]` - 1` threads are spawned
+/// once, on the first such call; while it waits, the calling thread runs
+/// queued ranges too. No call spawns a thread, calls from several threads
+/// share the pool, and `work` may itself call `fan_out`.
+///
+/// The ranges need not all run at once, so `work` must not wait for
+/// another range of the same call (a barrier between ranges could wait
+/// forever).
 ///
 /// # Panics
 ///
-/// Panics if `grain` is zero. If `work` panics on a worker thread, the
-/// first such panic in plan order is re-raised on the caller with its own
-/// payload, after every worker has finished.
+/// Panics if `grain` is zero. If `work` panics, the first panicking
+/// range in plan order has its own payload re-raised on the caller, after
+/// every range has finished; the pool stays usable.
 pub fn fan_out<T, R, F>(out: &mut [T], workers: usize, grain: usize, work: F) -> Vec<R>
 where
     T: Send,
@@ -147,22 +171,20 @@ where
     if plan.len() <= 1 {
         return plan.into_iter().map(|r| work(r, out)).collect();
     }
+    let mut results: Vec<Option<std::thread::Result<R>>> = plan.iter().map(|_| None).collect();
     let work = &work;
-    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let mut rest = out;
-        let handles: Vec<_> = plan
-            .into_iter()
-            .map(|r| {
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-                rest = tail;
-                scope.spawn(move || work(r, chunk))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    joined
+    let mut rest = out;
+    pool::run(plan.into_iter().zip(&mut results).map(|(r, slot)| {
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        rest = tail;
+        move || *slot = Some(catch_unwind(AssertUnwindSafe(|| work(r, chunk))))
+    }));
+    results
         .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .map(|slot| match slot.expect("every range ran") {
+            Ok(r) => r,
+            Err(payload) => resume_unwind(payload),
+        })
         .collect()
 }
 
@@ -242,8 +264,11 @@ mod tests {
         }
     }
 
-    /// Several ranges run on threads of their own, borrow the caller's
-    /// locals, and their results merge to the sequential answer.
+    /// Several ranges borrow the caller's locals and their results merge
+    /// to the sequential answer. The calling thread runs the first range
+    /// itself, and no range runs on a thread spawned for the call: those
+    /// would be unnamed, while the pool's threads and every test thread
+    /// (a waiting caller runs queued ranges of any call) carry names.
     #[test]
     fn scoped_threads_borrow_and_merge() {
         let caller = std::thread::current().id();
@@ -253,12 +278,16 @@ mod tests {
             for (x, slot) in input[r.clone()].iter().zip(chunk) {
                 *slot = x * 2;
             }
-            (std::thread::current().id(), input[r].iter().sum::<u64>())
+            let me = std::thread::current();
+            (me.id(), me.name().is_some(), input[r].iter().sum::<u64>())
         });
-        let threads: std::collections::HashSet<_> = parts.iter().map(|&(id, _)| id).collect();
-        assert_eq!(threads.len(), 4);
-        assert!(!threads.contains(&caller));
-        assert_eq!(parts.iter().map(|&(_, sum)| sum).sum::<u64>(), 5050);
+        assert_eq!(parts.len(), 4);
+        assert_eq!(parts[0].0, caller);
+        assert!(
+            parts.iter().all(|&(_, named, _)| named),
+            "a range ran on an unnamed thread"
+        );
+        assert_eq!(parts.iter().map(|&(_, _, sum)| sum).sum::<u64>(), 5050);
         let doubled: Vec<u64> = input.iter().map(|x| x * 2).collect();
         assert_eq!(out, doubled);
     }

@@ -75,7 +75,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let cpus = sushi_par::host_workers();
         Self {
             max_batch: 32,
             max_delay: Duration::ZERO,
@@ -123,13 +123,6 @@ impl ServeConfig {
         self.executors = executors.max(1);
         self
     }
-
-    /// Alias for [`ServeConfig::executors`], kept from the
-    /// single-queue pipeline where per-batch inference workers were the
-    /// only parallelism knob.
-    pub fn workers(self, workers: usize) -> Self {
-        self.executors(workers)
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +140,6 @@ mod tests {
         assert_eq!(cfg.queue_capacity, 1);
         assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.executors, 1);
-    }
-
-    #[test]
-    fn workers_aliases_executors() {
-        let cfg = ServeConfig::new().workers(7);
-        assert_eq!(cfg.executors, 7);
-        assert_eq!(ServeConfig::new().workers(0).executors, 1);
     }
 
     #[test]

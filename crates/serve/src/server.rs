@@ -250,8 +250,13 @@ impl Server {
     /// builder's clamps; they are applied here once, and the server runs
     /// the clamped config.
     pub fn start(snn: PackedSnn, cfg: ServeConfig) -> Self {
-        let (max_batch, shards, executors) = (cfg.max_batch, cfg.shards, cfg.executors);
-        let cfg = cfg.max_batch(max_batch).shards(shards).executors(executors);
+        let (max_batch, capacity, shards, executors) =
+            (cfg.max_batch, cfg.queue_capacity, cfg.shards, cfg.executors);
+        let cfg = cfg
+            .max_batch(max_batch)
+            .queue_capacity(capacity)
+            .shards(shards)
+            .executors(executors);
         let shards = (0..cfg.shards)
             .map(|_| Shard {
                 queue: Mutex::new(VecDeque::new()),

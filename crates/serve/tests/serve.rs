@@ -62,7 +62,7 @@ fn served_predictions_match_offline_batch_bitwise() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     // Hammer from several client threads so requests actually coalesce.
@@ -154,7 +154,7 @@ fn packed_backend_never_takes_the_bitplane_path() {
         ServeConfig::new()
             .max_batch(BITPLANE_MIN_LANES - 1)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let served: Vec<usize> = images
@@ -208,7 +208,7 @@ fn deadline_trigger_dispatches_partial_batch() {
         ServeConfig::new()
             .max_batch(1024)
             .max_delay(Duration::from_millis(5))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let start = std::time::Instant::now();
@@ -252,7 +252,7 @@ fn full_queue_sheds_with_structured_error() {
             .max_batch(5)
             .max_delay(Duration::from_secs(60))
             .queue_capacity(2)
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let outcomes: Vec<Result<_, ServeError>> = std::thread::scope(|scope| {
@@ -292,7 +292,7 @@ fn full_queue_sheds_with_structured_error() {
 #[test]
 fn wrong_frame_width_is_rejected_before_queueing() {
     let snn = test_net(0xF00D);
-    let server = Server::start(snn, ServeConfig::new().workers(1));
+    let server = Server::start(snn, ServeConfig::new().executors(1));
     let handle = server.handle();
     let err = handle.predict(vec![vec![true; 7]]).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)));
@@ -336,6 +336,25 @@ fn zero_max_batch_config_still_serves() {
 }
 
 #[test]
+fn zero_queue_capacity_config_still_serves() {
+    let snn = test_net(0x2E42);
+    let image = spike_images(0x2E43, 1, snn.input_width(), 2).remove(0);
+    let want = snn.predict(&image);
+    // A struct literal skips the builder's clamp of the admission bound
+    // to 1; unclamped, every request would be shed as overloaded.
+    let server = Server::start(
+        snn,
+        ServeConfig {
+            queue_capacity: 0,
+            ..ServeConfig::new().shards(1).executors(1)
+        },
+    );
+    let served = server.handle().predict(image).expect("serve ok");
+    assert_eq!(served.class, want);
+    assert_eq!(server.stats().rejected, 0);
+}
+
+#[test]
 fn shutdown_drains_admitted_requests_and_stops_admission() {
     let snn = test_net(0xD00F);
     let images = spike_images(0x42, 6, snn.input_width(), 2);
@@ -345,7 +364,7 @@ fn shutdown_drains_admitted_requests_and_stops_admission() {
         ServeConfig::new()
             .max_batch(3)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let served: Vec<usize> = std::thread::scope(|scope| {
@@ -381,7 +400,7 @@ fn socket_round_trip_matches_in_process_serving() {
         ServeConfig::new()
             .max_batch(4)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let path = std::env::temp_dir().join(format!("sushi-serve-test-{}.sock", std::process::id()));
     let socket = SocketServer::bind(&path, server.handle()).expect("bind socket");
@@ -404,7 +423,7 @@ fn loadgen_closed_loop_smoke() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_micros(200))
-            .workers(1),
+            .executors(1),
     );
     let report = loadgen::closed_loop(&server.handle(), &images, 2, Duration::from_millis(100));
     assert_eq!(report.mode, "closed");
@@ -427,7 +446,7 @@ fn loadgen_open_loop_measures_from_scheduled_arrival() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_micros(200))
-            .workers(1),
+            .executors(1),
     );
     let report = loadgen::open_loop(
         &server.handle(),

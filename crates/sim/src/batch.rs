@@ -2,9 +2,11 @@
 //!
 //! Inference workloads run the *same* netlist over many independent
 //! stimulus sets (one per input sample). [`BatchRunner`] fans those items
-//! across a pool of scoped worker threads, reusing one [`Simulator`] per
-//! worker via [`Simulator::reset`], and merges the per-item
-//! [`SimOutcome`]s back in input order.
+//! across workers with [`sushi_par::fan_out`], reusing one [`Simulator`]
+//! per worker via [`Simulator::reset`], and merges the per-item
+//! [`SimOutcome`]s back in input order. Simulator settings (faults,
+//! jitter, event limit) come only from a [`SimConfig`], through
+//! [`BatchRunner::with_config`].
 //!
 //! Every entry point goes through [`BatchRunner::run_each`]: a worker
 //! builds its simulator once from the runner's [`SimConfig`] (faults,
@@ -22,11 +24,9 @@
 //! - [`Simulator::reset`] rewinds *all* dynamic state, including the event
 //!   sequence counter and the jitter RNG, so a reused simulator behaves
 //!   exactly like a fresh one.
-//! - Jitter set through [`BatchRunner::with_jitter`] gives each item its
-//!   own stream seeded by [`item_seed`] — a pure function of the base seed
-//!   and the item's input index, not of which worker ran it. Jitter in the
-//!   runner's [`SimConfig`] instead models one chip: every item sees the
-//!   config's seed, as a fresh simulator built from that config would.
+//! - Jitter models one chip: every item's stream starts from the
+//!   config's seed, as on a fresh simulator built from that config, so
+//!   it does not depend on which worker ran the item or what ran before.
 //! - Items are assigned to workers in contiguous chunks and each worker
 //!   writes only its own output slots, so the merged vector is in input
 //!   order by construction. Errors are reported for the earliest input
@@ -68,19 +68,10 @@ use crate::json::Json;
 use crate::netlist::{CellId, Netlist};
 use crate::observe::{ActivityProfiler, HotCellEntry};
 use crate::stimulus::Stimulus;
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::time::Instant;
 use sushi_cells::{CellLibrary, Ps};
 use sushi_par::fan_out;
-
-/// Derives the per-item jitter seed from the batch's base seed and the
-/// item's input index. Pure and worker-independent, so re-running a batch
-/// with any worker count reproduces every item's jitter stream. The odd
-/// multiplier (2^64 / phi) decorrelates neighbouring indices.
-pub fn item_seed(base: u64, index: usize) -> u64 {
-    base ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 /// Runs batches of stimulus sets over one netlist on a worker pool.
 ///
@@ -90,23 +81,12 @@ pub fn item_seed(base: u64, index: usize) -> u64 {
 pub struct BatchRunner<'a> {
     netlist: &'a Netlist,
     library: &'a CellLibrary,
-    /// `None` = one per available CPU, looked up when a batch runs (the
-    /// lookup reads cgroup files, so a count set later never pays it).
+    /// `None` = one per host CPU ([`sushi_par::host_workers`]).
     workers: Option<usize>,
     faults: Vec<(CellId, Fault)>,
     event_limit: Option<u64>,
-    jitter: Option<Jitter>,
-}
-
-/// A runner's timing jitter.
-#[derive(Debug, Clone, Copy)]
-struct Jitter {
-    seed: u64,
-    sigma_ps: Ps,
-    /// [`BatchRunner::with_jitter`]: item `i` streams from
-    /// [`item_seed`]`(seed, i)`. Otherwise ([`BatchRunner::with_config`])
-    /// the jitter is one chip's and every item streams from `seed`.
-    per_item: bool,
+    /// `(seed, sigma_ps)` of the chip's timing jitter.
+    jitter: Option<(u64, Ps)>,
 }
 
 /// What [`BatchRunner::run_each`] returns: every item's staged value
@@ -137,15 +117,11 @@ impl<'a> BatchRunner<'a> {
     /// Config jitter models one chip: every item starts from the config's
     /// seed (a reset rewinds the draws), exactly as on a fresh simulator
     /// built from `config`. An observer in `config` is not used; use
-    /// [`BatchRunner::run_with_report`] for pool metrics.
+    /// [`BatchRunner::run_with_report`] for per-worker metrics.
     pub fn with_config(mut self, config: &SimConfig) -> Self {
         self.faults = config.faults().to_vec();
         self.event_limit = config.event_limit_value();
-        self.jitter = config.jitter_params().map(|(seed, sigma_ps)| Jitter {
-            seed,
-            sigma_ps,
-            per_item: false,
-        });
+        self.jitter = config.jitter_params();
         self
     }
 
@@ -156,35 +132,9 @@ impl<'a> BatchRunner<'a> {
         self
     }
 
-    /// Overrides the per-item delivered-event budget (builder style).
-    pub fn with_event_limit(mut self, limit: u64) -> Self {
-        self.event_limit = Some(limit);
-        self
-    }
-
-    /// Enables Gaussian timing jitter (builder style). Item `i` streams
-    /// from [`item_seed`]`(base_seed, i)`, independent of worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma_ps` is negative.
-    pub fn with_jitter(mut self, base_seed: u64, sigma_ps: Ps) -> Self {
-        assert!(sigma_ps >= 0.0, "jitter sigma must be non-negative");
-        self.jitter = Some(Jitter {
-            seed: base_seed,
-            sigma_ps,
-            per_item: true,
-        });
-        self
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        self.workers.unwrap_or_else(sushi_par::host_workers)
     }
 
     fn make_simulator(&self) -> Simulator<'a> {
@@ -195,29 +145,17 @@ impl<'a> BatchRunner<'a> {
         if let Some(limit) = self.event_limit {
             sim.set_event_limit(limit);
         }
-        if let Some(j) = self.jitter {
-            // Per-item reseeding happens in `run_item`; for per-item jitter
-            // the base seed here only makes the builder state explicit.
-            sim.set_jitter(j.seed, j.sigma_ps);
+        if let Some((seed, sigma_ps)) = self.jitter {
+            sim.set_jitter(seed, sigma_ps);
         }
         sim
     }
 
     fn run_item<T>(
-        &self,
         sim: &mut Simulator<'a>,
-        index: usize,
         stage: impl FnOnce(&mut Simulator<'a>) -> Result<T, SimError>,
     ) -> Result<(T, SimOutcome), SimError> {
         sim.reset();
-        if let Some(Jitter {
-            seed,
-            per_item: true,
-            ..
-        }) = self.jitter
-        {
-            sim.reseed_jitter(item_seed(seed, index));
-        }
         let staged = stage(sim)?;
         sim.run_to_completion()?;
         Ok((staged, sim.take_outcome()))
@@ -258,7 +196,7 @@ impl<'a> BatchRunner<'a> {
             }
             let mut scratch = scratch();
             for (i, slot) in r.clone().zip(out) {
-                *slot = Some(self.run_item(&mut sim, i, |sim| stage(&mut scratch, sim, i)));
+                *slot = Some(Self::run_item(&mut sim, |sim| stage(&mut scratch, sim, i)));
             }
             let profiler = hot_top_n.map(|_| {
                 sim.take_observer_as::<ActivityProfiler>()
@@ -301,10 +239,8 @@ impl<'a> BatchRunner<'a> {
         let mut sim = self.make_simulator();
         items
             .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                self.run_item(&mut sim, i, |sim| item.inject_into(sim))
-                    .map(|((), outcome)| outcome)
+            .map(|item| {
+                Self::run_item(&mut sim, |sim| item.inject_into(sim)).map(|((), outcome)| outcome)
             })
             .collect()
     }
@@ -410,8 +346,8 @@ impl<'a> BatchRunner<'a> {
     }
 }
 
-/// Metrics for one batch worker thread, collected by
-/// [`BatchRunner::run_with_report`].
+/// Metrics for one batch worker (one range of the chunk plan),
+/// collected by [`BatchRunner::run_with_report`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerMetrics {
     /// Worker index (chunk order).
@@ -552,7 +488,7 @@ mod tests {
         let n = small_design();
         let l = lib();
         let items = batch(9);
-        let runner = BatchRunner::new(&n, &l).with_jitter(0xC0FFEE, 2.0);
+        let runner = BatchRunner::new(&n, &l).with_config(&SimConfig::new().jitter(0xC0FFEE, 2.0));
         let reference = runner.run_sequential(&items).unwrap();
         for workers in [2, 4] {
             let got = runner.clone().with_workers(workers).run(&items).unwrap();
@@ -672,19 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn item_seed_depends_on_index_not_worker() {
-        let s0 = item_seed(99, 0);
-        let s1 = item_seed(99, 1);
-        assert_ne!(s0, s1);
-        assert_eq!(item_seed(99, 1), s1, "pure function of (base, index)");
-    }
-
-    #[test]
     fn report_run_matches_plain_run_and_counts_everything() {
         let n = small_design();
         let l = lib();
         let items = batch(11);
-        let runner = BatchRunner::new(&n, &l).with_jitter(0xFEED, 1.5);
+        let runner = BatchRunner::new(&n, &l).with_config(&SimConfig::new().jitter(0xFEED, 1.5));
         let plain = runner.run(&items).unwrap();
         for workers in [1, 3, 5] {
             let (outcomes, report) = runner
@@ -765,7 +693,7 @@ mod tests {
         let l = lib();
         let items = batch(4);
         let err = BatchRunner::new(&n, &l)
-            .with_event_limit(1)
+            .with_config(&SimConfig::new().event_limit(1))
             .with_workers(2)
             .run(&items)
             .unwrap_err();

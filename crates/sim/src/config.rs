@@ -275,7 +275,8 @@ impl EvalOptions {
         Self::default()
     }
 
-    /// Uses exactly `n` worker threads.
+    /// Splits the work into exactly `n` workers (clamped to the item
+    /// count), the ranges of `sushi_par::fan_out`.
     ///
     /// # Panics
     ///
@@ -304,13 +305,10 @@ impl EvalOptions {
         self
     }
 
-    /// Resolves the worker count against the host (at least 1).
+    /// Resolves the worker count against the host (at least 1): one per
+    /// host CPU ([`sushi_par::host_workers`]) unless set.
     pub fn resolve_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        self.workers.unwrap_or_else(sushi_par::host_workers)
     }
 }
 

@@ -450,15 +450,6 @@ impl<'a> Simulator<'a> {
         self.jitter = Some(Jitter::new(seed, sigma_ps));
     }
 
-    /// Restarts the jitter stream from `seed`, keeping the configured
-    /// sigma. No-op when jitter was never enabled. The batch layer uses
-    /// this to give every batch item its own reproducible stream.
-    pub fn reseed_jitter(&mut self, seed: u64) {
-        if let Some(j) = &mut self.jitter {
-            *j = Jitter::new(seed, j.sigma_ps);
-        }
-    }
-
     pub(crate) fn set_fault(&mut self, cell: CellId, fault: Fault) {
         // Ids from another netlist never match a delivered event, so (as
         // with the old map-keyed fault set) storing them is a silent no-op.

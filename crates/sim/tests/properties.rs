@@ -215,7 +215,7 @@ proptest! {
 
         let mut runner = BatchRunner::new(&n, &lib);
         if jittered {
-            runner = runner.with_jitter(0xBA7C4, 1.5);
+            runner = runner.with_config(&SimConfig::new().jitter(0xBA7C4, 1.5));
         }
         let reference = runner.run_sequential(&items).unwrap();
         prop_assert_eq!(reference.len(), items.len());
@@ -255,7 +255,7 @@ proptest! {
 
         let mut runner = BatchRunner::new(&n, &lib);
         if jittered {
-            runner = runner.with_jitter(0x0B5E6, 1.0);
+            runner = runner.with_config(&SimConfig::new().jitter(0x0B5E6, 1.0));
         }
         let plain = runner.run(&items).unwrap();
         for workers in [1usize, 2, 4] {

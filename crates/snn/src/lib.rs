@@ -7,9 +7,9 @@
 //! scratch:
 //!
 //! * [`tensor`] — a dense `f32` matrix with runtime-dispatched SIMD
-//!   matmul kernels (bitwise identical across tiers);
-//! * [`pool`] — the persistent worker pool the kernels parallelize on,
-//!   with shape-derived chunk plans (bitwise identical for any size);
+//!   matmul kernels (bitwise identical across tiers), split over output
+//!   rows with [`sushi_par::fan_out`] (bitwise identical for any worker
+//!   count);
 //! * [`neuron`] — the discrete IF neuron (Eqs. 1–3) with surrogate
 //!   gradients for training;
 //! * [`network`] — the spiking MLP with BPTT forward/backward and the
@@ -43,7 +43,6 @@ pub mod metrics;
 pub mod network;
 pub mod neuron;
 pub mod optim;
-pub mod pool;
 pub mod tensor;
 pub mod train;
 
@@ -54,6 +53,5 @@ pub use metrics::{accuracy, consistency, Evaluation};
 pub use network::{SnnMlp, TrainScratch};
 pub use neuron::{IfNeuron, LifNeuron};
 pub use optim::Adam;
-pub use pool::WorkerPool;
 pub use tensor::Matrix;
 pub use train::{TrainConfig, TrainedSnn, Trainer};

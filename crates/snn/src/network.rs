@@ -18,7 +18,6 @@
 //! [`SnnMlp::backward`] allocate a fresh scratch per call.
 
 use crate::neuron::IfNeuron;
-use crate::pool::WorkerPool;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,25 +92,18 @@ pub struct ForwardRecord {
     pub rates: Matrix,
 }
 
-/// Which pool a [`TrainScratch`] dispatches its kernels on.
-#[derive(Debug)]
-enum PoolChoice {
-    /// The process-wide host-sized pool.
-    Shared,
-    /// A dedicated fixed-size pool ([`TrainScratch::with_workers`]).
-    Owned(WorkerPool),
-}
-
 /// Reusable buffers for the BPTT hot path.
 ///
 /// One scratch lives across a whole training loop; every forward/backward
 /// pass reuses its matrices (reshaped in place via `Matrix::reset_to`), so
 /// steady-state training does no per-batch heap allocation. A scratch is
 /// tied to nothing: the first pass shapes it, and it reshapes itself
-/// whenever the network, batch size, or time-step count changes.
+/// whenever the network, batch size, or time-step count changes. It also
+/// holds the worker count its matmuls split over
+/// ([`Matrix::matmul_into`]).
 #[derive(Debug)]
 pub struct TrainScratch {
-    pool: PoolChoice,
+    workers: usize,
     /// The record of the last forward pass.
     record: ForwardRecord,
     /// Per-layer membrane potentials (forward).
@@ -137,22 +129,19 @@ pub struct TrainScratch {
 }
 
 impl TrainScratch {
-    /// A scratch dispatching its kernels on the process-wide
-    /// [`WorkerPool::shared`] pool.
+    /// A scratch whose matmuls split over one worker per host CPU
+    /// ([`sushi_par::host_workers`]).
     pub fn new() -> Self {
-        Self::with_pool(PoolChoice::Shared)
+        Self::with_workers(sushi_par::host_workers())
     }
 
-    /// A scratch with a dedicated pool of `workers` workers. Results are
-    /// bitwise identical for any worker count (see [`crate::pool`]); this
-    /// exists for explicit sizing and the worker-invariance tests.
+    /// A scratch whose matmuls split over at most `workers` workers (zero
+    /// counts as one). Results are bitwise identical for any worker count
+    /// (see [`crate::tensor`]); this exists for explicit sizing and the
+    /// worker-invariance tests.
     pub fn with_workers(workers: usize) -> Self {
-        Self::with_pool(PoolChoice::Owned(WorkerPool::new(workers)))
-    }
-
-    fn with_pool(pool: PoolChoice) -> Self {
         Self {
-            pool,
+            workers,
             record: ForwardRecord::default(),
             membranes: Vec::new(),
             acts: Vec::new(),
@@ -344,10 +333,6 @@ impl SnnMlp {
         );
         let num_layers = self.weights.len();
         let t_steps = frames.len();
-        let pool = match &ws.pool {
-            PoolChoice::Shared => WorkerPool::shared(),
-            PoolChoice::Owned(p) => p,
-        };
 
         ws.record.pre_acts.resize_with(num_layers, Vec::new);
         ws.record.spikes.resize_with(num_layers, Vec::new);
@@ -366,7 +351,7 @@ impl SnnMlp {
             for l in 0..num_layers {
                 let (below, at) = ws.record.spikes.split_at_mut(l);
                 let input: &Matrix = if l == 0 { frame } else { &below[l - 1][t] };
-                input.matmul_into(&ws.effective[l], &mut ws.acts[l], pool);
+                input.matmul_into(&ws.effective[l], &mut ws.acts[l], ws.workers);
                 self.neuron.step_recorded_into(
                     &mut ws.membranes[l],
                     &ws.acts[l],
@@ -426,10 +411,6 @@ impl SnnMlp {
     /// Panics if `ws` does not hold a matching forward record or `targets`
     /// shape mismatches the output rates.
     pub fn backward_with(&self, frames: &[Matrix], targets: &Matrix, ws: &mut TrainScratch) -> f32 {
-        let pool = match &ws.pool {
-            PoolChoice::Shared => WorkerPool::shared(),
-            PoolChoice::Owned(p) => p,
-        };
         let record = &ws.record;
         let rates = &record.rates;
         assert_eq!(
@@ -527,11 +508,11 @@ impl SnnMlp {
                 } else {
                     &ws.record.spikes[l - 1][t]
                 };
-                input.transpose_matmul_acc_into(&ws.g_h, &mut ws.grads[l], pool);
+                input.transpose_matmul_acc_into(&ws.g_h, &mut ws.grads[l], ws.workers);
                 // gInput = gH @ W^T propagates to the layer below.
                 if l > 0 {
                     ws.g_h
-                        .matmul_into(&ws.wt[l], &mut ws.g_spikes[l - 1][t], pool);
+                        .matmul_into(&ws.wt[l], &mut ws.g_spikes[l - 1][t], ws.workers);
                 }
                 std::mem::swap(&mut ws.g_h, &mut ws.g_v);
                 have_gv = true;

@@ -15,23 +15,18 @@
 //! `tests/properties.rs` pins the dispatched kernel against a scalar
 //! replica.
 //!
-//! Large kernels are split across a persistent [`WorkerPool`] using
-//! [`chunk_plan`] ranges whose boundaries depend only on the shape, never
-//! the worker count — so results are also bitwise identical for any pool
-//! size.
+//! Large kernels take a worker count and split their output rows over
+//! [`sushi_par::fan_out`]. Each output element still sums over `k` in
+//! ascending order on whichever thread owns its row, so where the rows
+//! are cut does not change a bit: results are also bitwise identical for
+//! any worker count.
 
-use crate::pool::WorkerPool;
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use sushi_par::{chunk_plan, cpu_tier, CpuTier};
+use sushi_par::{cpu_tier, fan_out, host_workers, CpuTier};
 
-/// Minimum FLOP count before a matmul is split across the worker pool.
+/// Minimum FLOP count before a matmul is split across workers.
 const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
-
-/// Fixed task count for parallel kernel splits. Chunk boundaries derive
-/// from this constant and the shape only, so any pool size produces the
-/// same per-task sub-problems (and therefore the same bits).
-const MAX_PAR_TASKS: usize = 16;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -158,32 +153,32 @@ impl Matrix {
 
     /// `self @ other`.
     ///
-    /// Runs on the process-wide [`WorkerPool::shared`] pool above the
-    /// parallel threshold; see [`Matrix::matmul_into`].
+    /// Splits over [`host_workers`] workers above the parallel threshold;
+    /// see [`Matrix::matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::default();
-        self.matmul_into(other, &mut out, WorkerPool::shared());
+        self.matmul_into(other, &mut out, host_workers());
         out
     }
 
     /// `self @ other`, written into `out` (reshaped and zeroed, reusing
     /// its allocation).
     ///
-    /// Below the parallel FLOP threshold — or on a 1-worker pool, where
-    /// splitting only adds queue traffic — the sequential kernel runs
-    /// inline. Above it, output rows are split into a fixed number of
-    /// shape-derived chunks on `pool`; every output element is produced by
-    /// one task running the same kernel, so the result is bitwise
-    /// identical for any pool size.
+    /// Below the parallel FLOP threshold the sequential kernel runs
+    /// inline. Above it, [`sushi_par::fan_out`] splits the output rows
+    /// into at most `workers` ranges of whole rows (one worker runs them
+    /// all inline); every output element is produced by one range running
+    /// the same kernel, so the result is bitwise identical for any worker
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix, pool: &WorkerPool) {
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix, workers: usize) {
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} @ {}x{}",
@@ -193,21 +188,14 @@ impl Matrix {
         let (k, n) = (self.cols, other.cols);
         let flops = self.rows * k * n;
         let tier = cpu_tier();
-        if pool.workers() == 1 || self.rows < 2 || flops < PARALLEL_FLOP_THRESHOLD {
+        if flops < PARALLEL_FLOP_THRESHOLD {
             matmul_rows(tier, &self.data, &other.data, &mut out.data, k, n);
             return;
         }
-        let a = &self.data;
-        let b = &other.data;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(MAX_PAR_TASKS);
-        let mut tail: &mut [f32] = &mut out.data;
-        for r in chunk_plan(self.rows, MAX_PAR_TASKS) {
-            let (chunk, rest) = tail.split_at_mut(r.len() * n);
-            tail = rest;
-            let a_block = &a[r.start * k..r.end * k];
-            tasks.push(Box::new(move || matmul_rows(tier, a_block, b, chunk, k, n)));
-        }
-        pool.run(tasks);
+        fan_out(&mut out.data, workers, n, |r, chunk| {
+            let a_block = &self.data[r.start / n * k..r.end / n * k];
+            matmul_rows(tier, a_block, &other.data, chunk, k, n);
+        });
     }
 
     /// `self @ other^T` (common in backprop).
@@ -236,7 +224,7 @@ impl Matrix {
     /// Panics on dimension mismatch.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
-        self.transpose_matmul_acc_into(other, &mut out, WorkerPool::shared());
+        self.transpose_matmul_acc_into(other, &mut out, host_workers());
         out
     }
 
@@ -248,14 +236,14 @@ impl Matrix {
     /// The loop runs output-row-major (`i` outer, `k` inner): each output
     /// row stays hot in cache across the whole `k` sweep, and the
     /// per-element `k`-ascending accumulation order of the naive kernel is
-    /// preserved exactly. Parallel splits follow the same shape-derived
-    /// chunk plan as [`Matrix::matmul_into`].
+    /// preserved exactly. Above the parallel threshold the output rows are
+    /// split over at most `workers` ranges, as in [`Matrix::matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or if `out` is not
     /// `self.cols x other.cols`.
-    pub fn transpose_matmul_acc_into(&self, other: &Matrix, out: &mut Matrix, pool: &WorkerPool) {
+    pub fn transpose_matmul_acc_into(&self, other: &Matrix, out: &mut Matrix, workers: usize) {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul ({}x{})^T @ {}x{}",
@@ -273,22 +261,13 @@ impl Matrix {
         let (a_cols, n) = (self.cols, other.cols);
         let flops = self.rows * a_cols * n;
         let tier = cpu_tier();
-        if pool.workers() == 1 || a_cols < 2 || flops < PARALLEL_FLOP_THRESHOLD {
+        if flops < PARALLEL_FLOP_THRESHOLD {
             t_matmul_acc(tier, &self.data, &other.data, &mut out.data, 0, a_cols, n);
             return;
         }
-        let a = &self.data;
-        let b = &other.data;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(MAX_PAR_TASKS);
-        let mut tail: &mut [f32] = &mut out.data;
-        for r in chunk_plan(a_cols, MAX_PAR_TASKS) {
-            let (chunk, rest) = tail.split_at_mut(r.len() * n);
-            tail = rest;
-            tasks.push(Box::new(move || {
-                t_matmul_acc(tier, a, b, chunk, r.start, a_cols, n)
-            }));
-        }
-        pool.run(tasks);
+        fan_out(&mut out.data, workers, n, |r, chunk| {
+            t_matmul_acc(tier, &self.data, &other.data, chunk, r.start / n, a_cols, n);
+        });
     }
 
     /// The transpose.
@@ -596,23 +575,21 @@ mod tests {
 
     #[test]
     fn matmul_is_pool_size_invariant() {
-        // Regression for the old thread-count logic that spawned threads
-        // even on 1-CPU hosts: above the parallel threshold, every pool
-        // size must produce identical bits (fixed shape-derived chunk
-        // boundaries + 1-worker sequential fallback).
+        // Above the parallel threshold every worker count must produce
+        // identical bits: a range holds whole output rows, and each
+        // element sums `k` in ascending order wherever its row runs.
         let n = 260;
         let (a, b) = patterned(n);
         let mut reference = Matrix::default();
-        a.matmul_into(&b, &mut reference, &WorkerPool::new(1));
+        a.matmul_into(&b, &mut reference, 1);
+        let mut acc_seq = Matrix::zeros(n, n);
+        a.transpose_matmul_acc_into(&b, &mut acc_seq, 1);
         for workers in [2, 7] {
-            let pool = WorkerPool::new(workers);
             let mut out = Matrix::default();
-            a.matmul_into(&b, &mut out, &pool);
+            a.matmul_into(&b, &mut out, workers);
             assert_eq!(out, reference, "workers={workers}");
             let mut acc = Matrix::zeros(n, n);
-            a.transpose_matmul_acc_into(&b, &mut acc, &pool);
-            let mut acc_seq = Matrix::zeros(n, n);
-            a.transpose_matmul_acc_into(&b, &mut acc_seq, &WorkerPool::new(1));
+            a.transpose_matmul_acc_into(&b, &mut acc, workers);
             assert_eq!(acc, acc_seq, "t_matmul workers={workers}");
         }
     }
@@ -654,7 +631,7 @@ mod tests {
         let b = Matrix::identity(2);
         let mut out = Matrix::zeros(8, 8); // larger than needed
         let cap_ptr = out.data.as_ptr();
-        a.matmul_into(&b, &mut out, WorkerPool::shared());
+        a.matmul_into(&b, &mut out, host_workers());
         assert_eq!(out, a);
         assert_eq!(out.data.as_ptr(), cap_ptr, "buffer must be reused");
     }
@@ -678,7 +655,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0], &[6.0]]);
         let mut acc = Matrix::from_rows(&[&[100.0], &[200.0]]);
-        a.transpose_matmul_acc_into(&b, &mut acc, WorkerPool::shared());
+        a.transpose_matmul_acc_into(&b, &mut acc, host_workers());
         // a^T @ b = [[1*5+3*6], [2*5+4*6]] = [[23], [34]]
         assert_eq!(acc, Matrix::from_rows(&[&[123.0], &[234.0]]));
     }

@@ -146,15 +146,15 @@ impl TrainedSnn {
 #[derive(Debug, Clone)]
 pub struct Trainer {
     config: TrainConfig,
-    /// `Some(n)`: run the kernels on a dedicated n-worker pool instead of
-    /// the shared host-sized one. Results are bitwise identical either
-    /// way (see [`crate::pool`]).
+    /// `Some(n)`: split the kernels over `n` workers instead of one per
+    /// host CPU. Results are bitwise identical either way (see
+    /// [`crate::tensor`]).
     workers: Option<usize>,
 }
 
 impl Trainer {
-    /// A trainer with the given configuration, running on the process-wide
-    /// shared worker pool.
+    /// A trainer with the given configuration, splitting its kernels over
+    /// one worker per host CPU.
     pub fn new(config: TrainConfig) -> Self {
         Self {
             config,
@@ -162,10 +162,9 @@ impl Trainer {
         }
     }
 
-    /// Pins training to a dedicated pool of `workers` workers (builder
-    /// style). The trained model is bitwise identical for any worker
-    /// count — `training_is_worker_invariant` in `tests/properties.rs`
-    /// pins this.
+    /// Splits training's kernels over `workers` workers (builder style).
+    /// The trained model is bitwise identical for any worker count —
+    /// `training_is_worker_invariant` in `tests/properties.rs` pins this.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -212,7 +211,7 @@ impl Trainer {
         } else {
             None
         };
-        // One scratch (and worker pool) for the whole run: batches reuse
+        // One scratch for the whole run: batches reuse
         // every buffer, so the steady-state loop does not touch the heap.
         let mut ws = match self.workers {
             Some(n) => TrainScratch::with_workers(n),

@@ -172,12 +172,13 @@ proptest! {
     }
 }
 
-/// The trained model is bitwise identical for any worker-pool size: chunk
-/// boundaries depend only on shape (`sushi_par::chunk_plan`), and every output
-/// element is produced by exactly one task running the same sequential
-/// kernel. The hidden layer is sized so the per-batch FLOP count crosses
-/// `PARALLEL_FLOP_THRESHOLD` — the 2- and 7-worker runs genuinely take the
-/// parallel path while the 1-worker run stays sequential.
+/// The trained model is bitwise identical for any worker count: the
+/// matmuls split their output rows over `sushi_par::fan_out`, and every
+/// output element is produced by exactly one range running the same
+/// sequential kernel, summing `k` in ascending order. The hidden layer is
+/// sized so the per-batch FLOP count crosses `PARALLEL_FLOP_THRESHOLD` —
+/// the 2- and 7-worker runs genuinely take the parallel path while the
+/// 1-worker run stays sequential.
 #[test]
 fn training_is_worker_invariant() {
     let mut cfg = TrainConfig::tiny();

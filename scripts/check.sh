@@ -50,6 +50,19 @@ if [[ -n "$probes" ]]; then
   exit 1
 fi
 
+echo "==> one host-size lookup (sushi_par::host_workers)"
+# The pool's size and every default worker count read the cached
+# lookup; an uncached call elsewhere costs ~28 µs (it reads cgroup
+# files) and could size work differently from the pool. perfbench/ is
+# its own workspace and labels each run with its own lookup.
+lookups="$(grep -rl --include='*.rs' --exclude-dir=target --exclude-dir=.git \
+  'available_parallelism' . | grep -v -e '^\./crates/par/' -e '^\./perfbench/' || true)"
+if [[ -n "$lookups" ]]; then
+  echo "available_parallelism outside crates/par/ and perfbench/:"
+  echo "$lookups"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
