@@ -114,8 +114,8 @@ fn probe_tier() -> CpuTier {
 /// first).
 ///
 /// The effective worker count is clamped to the item count, so the plan
-/// never contains an empty range and a batch never spawns more threads
-/// than it has items; `workers == 0` counts as one worker. (`div_ceil`
+/// never contains an empty range and a batch never has more ranges than
+/// it has items; `workers == 0` counts as one worker. (`div_ceil`
 /// chunking, by contrast, leaves configured workers idle: 10 items on 6
 /// workers become 5 chunks of 2.)
 pub fn chunk_plan(items: usize, workers: usize) -> Vec<Range<usize>> {
@@ -150,7 +150,11 @@ pub fn chunk_plan(items: usize, workers: usize) -> Vec<Range<usize>> {
 ///
 /// The ranges need not all run at once, so `work` must not wait for
 /// another range of the same call (a barrier between ranges could wait
-/// forever).
+/// forever). While it waits, the calling thread may also run ranges of
+/// other threads' concurrent calls: a call can return only after such a
+/// foreign range has finished, and a caller must not hold a lock or a
+/// borrow (a `Mutex` guard, a `RefCell` borrow) that another call's
+/// `work` may take, or it could wait on itself.
 ///
 /// # Panics
 ///

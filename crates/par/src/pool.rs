@@ -12,7 +12,10 @@
 //! Tasks do not all run at once: a task that waited for another task of
 //! its call could wait forever. The partitioned simulator, whose
 //! partitions meet at a barrier, keeps scoped threads of its own for that
-//! reason.
+//! reason. A waiting caller runs other calls' tasks too, so a call may
+//! return only after a long foreign task has finished, and a caller that
+//! holds a lock or a borrow while it fans out could pick up a task that
+//! takes the same lock and wait on itself: callers must not hold one.
 //!
 //! The pool's threads are never joined: they live as long as the process,
 //! and no job unwinds on them (see [`run`]).

@@ -6,9 +6,8 @@
 # Builds perfbench for <rev> ("base") and for HEAD ("head") in git
 # worktrees at paths of equal length, target/ab/base and target/ab/head
 # (the checkout path alone has moved train's bulk_per_s by ~10%). Pair i
-# runs seed AB_SEED+i (default 1+i) on both sides for AB_SECONDS seconds
-# (default: BENCHMARK.json's run_seconds); even pairs run base first, odd
-# pairs head first. Each run appends one JSON line (side, rev, pair,
+# runs seed 1+i on both sides for BENCHMARK.json's run_seconds; even pairs
+# run base first, odd pairs head first. Each run appends one JSON line (side, rev, pair,
 # order, seed, then perfbench's own result object) to
 # target/ab/<workload>.jsonl, rewritten by every call. The script ends by
 # printing two markdown tables: for each end-to-end metric in
@@ -30,8 +29,7 @@ rev="$1"
 workload="$2"
 pairs="$3"
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
-seconds="${AB_SECONDS:-$(jq -r .run_seconds BENCHMARK.json)}"
-seed0="${AB_SEED:-1}"
+seconds="$(jq -r .run_seconds BENCHMARK.json)"
 root="$PWD/target/ab"
 out="$root/$workload.jsonl"
 declare -A sha
@@ -57,7 +55,7 @@ done
 
 # run <side> <pair> <order>: one perfbench run, appended to $out.
 run() {
-  local side="$1" pair="$2" order="$3" seed=$((seed0 + $2)) last
+  local side="$1" pair="$2" order="$3" seed=$((1 + $2)) last
   echo "==> pair $pair: $side, seed $seed" >&2
   last="$(cd "$root/$side" &&
     ./perfbench/target/release/sushi-perfbench --workload "$workload" \
