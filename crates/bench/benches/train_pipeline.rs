@@ -1,10 +1,13 @@
-//! Training-pipeline benches: BPTT forward, backward, and a full training
-//! epoch on the paper's 784-800-10 network (T = 5, batch 32, XNOR-Net
-//! mode), feeding `BENCH_train.json` via `scripts/bench.sh`.
+//! Training-pipeline benches: BPTT forward, backward, a full training
+//! epoch, and the trained model's held-out evaluation on the paper's
+//! 784-800-10 network (T = 5, batch 32, XNOR-Net mode), feeding
+//! `BENCH_train.json` via `scripts/bench.sh`.
 //!
 //! The forward/backward rows run the allocation-free `TrainScratch` hot
 //! path exactly as `Trainer::fit` drives it: one scratch reused across
 //! iterations, so the steady state measures kernels — not the allocator.
+//! The evaluation row times `TrainedSnn::evaluate` (the float reference),
+//! which runs the same forward pass in batches of the training size.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use std::time::Duration;
@@ -14,6 +17,7 @@ use sushi_snn::{Matrix, PoissonEncoder, SnnMlp, TrainScratch};
 
 const BATCH: usize = 32;
 const EPOCH_SAMPLES: usize = 256;
+const HELD_OUT: usize = 256;
 
 fn paper_cfg() -> TrainConfig {
     let mut cfg = TrainConfig::paper();
@@ -54,6 +58,12 @@ fn bench(c: &mut Criterion) {
     let epoch_data = synth_digits(EPOCH_SAMPLES, 1);
     g.bench_function("train_epoch_784_800_10", |b| {
         b.iter(|| Trainer::new(cfg.clone()).fit(&epoch_data).mlp.weights()[0].as_slice()[0])
+    });
+    g.throughput(Throughput::Elements(HELD_OUT as u64));
+    let model = Trainer::new(cfg.clone()).fit(&epoch_data);
+    let held_out = synth_digits(HELD_OUT, 2);
+    g.bench_function("train_evaluate_784_800_10", |b| {
+        b.iter(|| model.evaluate(&held_out).accuracy)
     });
     g.finish();
 }

@@ -110,8 +110,9 @@ pub struct TrainScratch {
     membranes: Vec<Matrix>,
     /// Per-layer pre-synaptic matmul buffers (forward).
     acts: Vec<Matrix>,
-    /// Effective weights of the last forward pass; the backward pass
-    /// reuses them (straight-through estimator in binary mode).
+    /// XNOR-binarized weights of the last binary-mode forward pass; the
+    /// backward pass reuses them (straight-through estimator). Float-mode
+    /// passes read the latent weights in place and leave this alone.
     effective: Vec<Matrix>,
     /// Per-column XNOR scaling scratch.
     alphas: Vec<f32>,
@@ -232,20 +233,34 @@ impl SnnMlp {
     /// The weights the forward pass actually multiplies by: the latent
     /// floats, or their XNOR-binarized form in binary mode.
     pub fn effective_weights(&self) -> Vec<Matrix> {
-        let mut out = Vec::new();
-        self.effective_into(&mut out, &mut Vec::new());
-        out
+        if !self.binary {
+            return self.weights.clone();
+        }
+        let mut effective = Vec::new();
+        self.binarize_into(&mut effective, &mut Vec::new());
+        effective
     }
 
-    /// [`SnnMlp::effective_weights`] into reusable buffers.
-    fn effective_into(&self, effective: &mut Vec<Matrix>, alphas: &mut Vec<f32>) {
-        effective.resize_with(self.weights.len(), Matrix::default);
-        for (w, e) in self.weights.iter().zip(effective.iter_mut()) {
-            if self.binary {
+    /// In binary mode, binarizes the latent weights into reusable buffers;
+    /// in float mode it does nothing, since the passes read the latent
+    /// weights in place ([`SnnMlp::pass_weights`]).
+    fn binarize_into(&self, effective: &mut Vec<Matrix>, alphas: &mut Vec<f32>) {
+        if self.binary {
+            effective.resize_with(self.weights.len(), Matrix::default);
+            for (w, e) in self.weights.iter().zip(effective.iter_mut()) {
                 xnor_effective_into(w, e, alphas);
-            } else {
-                e.clone_from(w);
             }
+        }
+    }
+
+    /// The weights a pass multiplies by: the copy [`SnnMlp::binarize_into`]
+    /// left in `effective` in binary mode, else the latent weights
+    /// themselves, borrowed rather than copied.
+    fn pass_weights<'a>(&'a self, effective: &'a [Matrix]) -> &'a [Matrix] {
+        if self.binary {
+            effective
+        } else {
+            &self.weights
         }
     }
 
@@ -292,6 +307,11 @@ impl SnnMlp {
     /// Runs `frames` (one `batch x input` spike matrix per time step)
     /// through the network and returns output firing rates
     /// (`batch x classes`).
+    ///
+    /// Each call allocates a one-shot [`TrainScratch`] and, in binary
+    /// mode, binarizes every weight afresh; to classify many images, use
+    /// [`TrainedSnn::predict_all`](crate::TrainedSnn::predict_all), which
+    /// binarizes once and runs training-sized batches on one scratch.
     ///
     /// # Panics
     ///
@@ -343,7 +363,8 @@ impl SnnMlp {
             ws.record.spikes[l].resize_with(t_steps, Matrix::default);
             ws.membranes[l].reset_to(batch, w.cols());
         }
-        self.effective_into(&mut ws.effective, &mut ws.alphas);
+        self.binarize_into(&mut ws.effective, &mut ws.alphas);
+        let weights = self.pass_weights(&ws.effective);
 
         let classes = self.weights[num_layers - 1].cols();
         ws.record.rates.reset_to(batch, classes);
@@ -351,7 +372,7 @@ impl SnnMlp {
             for l in 0..num_layers {
                 let (below, at) = ws.record.spikes.split_at_mut(l);
                 let input: &Matrix = if l == 0 { frame } else { &below[l - 1][t] };
-                input.matmul_into(&ws.effective[l], &mut ws.acts[l], ws.workers);
+                input.matmul_into(&weights[l], &mut ws.acts[l], ws.workers);
                 self.neuron.step_recorded_into(
                     &mut ws.membranes[l],
                     &ws.acts[l],
@@ -395,7 +416,7 @@ impl SnnMlp {
     ) -> (f32, Vec<Matrix>) {
         let mut ws = TrainScratch::new();
         ws.record = record.clone();
-        self.effective_into(&mut ws.effective, &mut ws.alphas);
+        self.binarize_into(&mut ws.effective, &mut ws.alphas);
         let loss = self.backward_with(frames, targets, &mut ws);
         (loss, std::mem::take(&mut ws.grads))
     }
@@ -462,13 +483,14 @@ impl SnnMlp {
         for (g, w) in ws.grads.iter_mut().zip(&self.weights) {
             g.reset_to(w.rows(), w.cols());
         }
-        // Backprop flows through the weights the forward pass used (left
-        // in the scratch by `forward_record_with`); in binary mode the
-        // gradient reaches the latent floats via the straight-through
-        // estimator (d effective / d latent ~= 1).
+        // Backprop flows through the weights the forward pass used (in
+        // binary mode, the copy `forward_record_with` left in the scratch);
+        // there the gradient reaches the latent floats via the
+        // straight-through estimator (d effective / d latent ~= 1).
+        let weights = self.pass_weights(&ws.effective);
         ws.wt.resize_with(num_layers, Matrix::default);
-        for l in 1..num_layers {
-            ws.effective[l].transpose_into(&mut ws.wt[l]);
+        for (w, wt) in weights.iter().zip(ws.wt.iter_mut()).skip(1) {
+            w.transpose_into(wt);
         }
 
         for l in (0..num_layers).rev() {
@@ -521,7 +543,12 @@ impl SnnMlp {
         loss
     }
 
-    /// Predicted class per batch row (argmax of firing rates).
+    /// Predicted class per batch row (argmax of firing rates, ties to the
+    /// lowest class).
+    ///
+    /// As [`SnnMlp::forward`], each call allocates a scratch and
+    /// re-binarizes the weights; many images should go through
+    /// [`TrainedSnn::predict_all`](crate::TrainedSnn::predict_all).
     pub fn predict(&self, frames: &[Matrix]) -> Vec<usize> {
         self.forward(frames).argmax_rows()
     }
@@ -591,27 +618,38 @@ mod tests {
     }
 
     /// The scratch-threaded hot path must produce exactly the bits of the
-    /// convenience wrappers, across float/stateful and binary/stateless
-    /// modes and across repeated reuse of one scratch.
+    /// convenience wrappers, in every float/binary and stateful/stateless
+    /// mode and across repeated reuse of one scratch. The weights change
+    /// between rounds, as the optimizer changes them between batches, so
+    /// a pass that read weights left in the scratch by an earlier pass
+    /// would fail here.
     #[test]
     fn scratch_paths_match_one_shot_paths() {
-        for (binary, stateless) in [(false, false), (true, true)] {
-            let net = SnnMlp::new(&[6, 9, 3], 5)
-                .with_binary_weights(binary)
-                .with_stateless(stateless);
-            let targets = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]);
-            let mut ws = TrainScratch::new();
-            for round in 0..3 {
-                let frames = constant_frames(5, 2, 6, 0.4 + 0.2 * round as f32);
-                let rec = net.forward_record(&frames);
-                let (loss, grads) = net.backward(&frames, &rec, &targets);
-                net.forward_record_with(&frames, &mut ws);
-                assert_eq!(ws.record().rates, rec.rates, "round {round}");
-                assert_eq!(ws.record().spikes, rec.spikes, "round {round}");
-                assert_eq!(ws.record().pre_acts, rec.pre_acts, "round {round}");
-                let loss_ws = net.backward_with(&frames, &targets, &mut ws);
-                assert_eq!(loss_ws, loss, "round {round} binary={binary}");
-                assert_eq!(ws.grads(), &grads[..], "round {round} binary={binary}");
+        for binary in [false, true] {
+            for stateless in [false, true] {
+                let mut net = SnnMlp::new(&[6, 9, 3], 5)
+                    .with_binary_weights(binary)
+                    .with_stateless(stateless);
+                let targets = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]);
+                let mut ws = TrainScratch::new();
+                for round in 0..3 {
+                    let at = format!("round {round} binary={binary} stateless={stateless}");
+                    let frames = constant_frames(5, 2, 6, 0.4 + 0.2 * round as f32);
+                    let rec = net.forward_record(&frames);
+                    let (loss, grads) = net.backward(&frames, &rec, &targets);
+                    net.forward_record_with(&frames, &mut ws);
+                    assert_eq!(ws.record().rates, rec.rates, "{at}");
+                    assert_eq!(ws.record().spikes, rec.spikes, "{at}");
+                    assert_eq!(ws.record().pre_acts, rec.pre_acts, "{at}");
+                    let loss_ws = net.backward_with(&frames, &targets, &mut ws);
+                    assert_eq!(loss_ws, loss, "{at}");
+                    assert_eq!(ws.grads(), &grads[..], "{at}");
+                    for w in net.weights_mut() {
+                        for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+                            *v += 0.1 * ((i % 7) as f32 - 3.0);
+                        }
+                    }
+                }
             }
         }
     }

@@ -98,7 +98,9 @@ impl IfNeuron {
     /// As [`IfNeuron::step_recorded`], but fused into one sweep writing
     /// spikes and pre-reset potentials into caller-owned buffers (reshaped
     /// in place, reusing their allocations) — the form the training
-    /// scratch uses to keep the hot path allocation-free.
+    /// scratch uses to keep the hot path allocation-free. Each neuron fires
+    /// and resets by select rather than by a branch on its potential; the
+    /// bits are those of [`IfNeuron::step`].
     ///
     /// # Panics
     ///
@@ -117,22 +119,18 @@ impl IfNeuron {
         );
         spikes.reset_to(v.rows(), v.cols());
         pre.reset_to(v.rows(), v.cols());
-        let sp = spikes.as_mut_slice();
-        let pr = pre.as_mut_slice();
-        for (i, (vv, &x)) in v
+        for (((vv, &x), s), p) in v
             .as_mut_slice()
             .iter_mut()
             .zip(input.as_slice())
-            .enumerate()
+            .zip(spikes.as_mut_slice())
+            .zip(pre.as_mut_slice())
         {
             let h = *vv + x;
-            pr[i] = h;
-            if h >= self.threshold {
-                sp[i] = 1.0;
-                *vv = self.reset;
-            } else {
-                *vv = h;
-            }
+            let fire = h >= self.threshold;
+            *p = h;
+            *s = if fire { 1.0 } else { 0.0 };
+            *vv = if fire { self.reset } else { h };
         }
     }
 
@@ -293,6 +291,7 @@ mod tests {
         let drive = Matrix::from_rows(&[&[0.6, 1.2, -0.3], &[0.9, 0.2, 0.5]]);
         let mut v_a = Matrix::from_vec(2, 3, vec![0.5, 0.0, 0.1, 0.3, 0.9, 0.6]);
         let mut v_b = v_a.clone();
+        let mut v_c = v_a.clone();
         let (s_a, h_a) = layer.step_recorded(&mut v_a, &drive);
         let mut s_b = Matrix::zeros(1, 1);
         let mut h_b = Matrix::zeros(1, 1);
@@ -300,6 +299,9 @@ mod tests {
         assert_eq!(s_a, s_b);
         assert_eq!(h_a, h_b);
         assert_eq!(v_a, v_b);
+        // The select form fires and resets exactly as the branching step.
+        assert_eq!(layer.step(&mut v_c, &drive), s_b);
+        assert_eq!(v_c, v_b);
     }
 
     #[test]

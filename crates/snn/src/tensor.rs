@@ -355,14 +355,23 @@ impl Matrix {
         self.data.iter().sum()
     }
 
-    /// Index of the maximum element in each row.
+    /// Index of the maximum element in each row; ties go to the lowest
+    /// index, as PyTorch's `argmax` and every chip-side prediction rule
+    /// break them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is empty or holds a NaN.
     pub fn argmax_rows(&self) -> Vec<usize> {
         (0..self.rows)
             .map(|r| {
                 self.row(r)
                     .iter()
                     .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN in argmax"))
+                    .max_by(|a, b| {
+                        let by_value = a.1.partial_cmp(b.1).expect("no NaN in argmax");
+                        by_value.then(b.0.cmp(&a.0))
+                    })
                     .map(|(i, _)| i)
                     .expect("non-empty row")
             })
@@ -680,6 +689,9 @@ mod tests {
     fn argmax_rows_picks_first_max() {
         let a = Matrix::from_rows(&[&[0.1, 0.9, 0.3], &[1.0, -1.0, 0.0]]);
         assert_eq!(a.argmax_rows(), vec![1, 0]);
+        // Tied maxima go to the lowest index.
+        let tied = Matrix::from_rows(&[&[0.4, 0.4, 0.2], &[0.0, 0.0, 0.0], &[0.2, 0.6, 0.6]]);
+        assert_eq!(tied.argmax_rows(), vec![0, 0, 1]);
     }
 
     #[test]

@@ -175,7 +175,8 @@ if [[ "$mode" == full ]]; then
 fi
 
 # The training-pipeline headlines: BPTT forward/backward/epoch samples/s
-# on the paper's 784-800-10 shape, plus the epoch speedup against the
+# and held-out evaluation images/s on the paper's 784-800-10 shape, plus
+# the epoch speedup against the
 # pre-SIMD baseline (commit 9ce6bef5a06c, spawn-per-matmul crossbeam
 # kernels, allocating BPTT) measured on the same single-CPU host class.
 train_baseline_epoch=1855.99
@@ -186,6 +187,7 @@ jq -s --arg commit "$commit" --arg mode "$mode" --arg date "$stamp" \
   (map(select(.id == "train_forward_784_800_10")) | first) as $fwd
   | (map(select(.id == "train_backward_784_800_10")) | first) as $bwd
   | (map(select(.id == "train_epoch_784_800_10")) | first) as $epoch
+  | (map(select(.id == "train_evaluate_784_800_10")) | first) as $eval
   | {
       commit: $commit,
       mode: $mode,
@@ -202,6 +204,8 @@ jq -s --arg commit "$commit" --arg mode "$mode" --arg date "$stamp" \
           (if $bwd then ($bwd.elem_per_s * 1000 | round / 1000) else null end),
         epoch_samples_per_s:
           (if $epoch then ($epoch.elem_per_s * 1000 | round / 1000) else null end),
+        evaluate_images_per_s:
+          (if $eval then ($eval.elem_per_s * 1000 | round / 1000) else null end),
         epoch_speedup_vs_baseline:
           (if ($epoch and ($base > 0))
            then ($epoch.elem_per_s / $base * 100 | round / 100)
@@ -210,13 +214,14 @@ jq -s --arg commit "$commit" --arg mode "$mode" --arg date "$stamp" \
       benchmarks: .
     }' "$raw_train" > "$tmp_train"
 
-# Structural gate in both modes: all three rows reported with positive
+# Structural gate in both modes: all four rows reported with positive
 # rates and the baseline speedup computable.
 jq -e '
-  .commit and (.benchmarks | length) >= 3
+  .commit and (.benchmarks | length) >= 4
   and .headline.forward_samples_per_s > 0
   and .headline.backward_samples_per_s > 0
   and .headline.epoch_samples_per_s > 0
+  and .headline.evaluate_images_per_s > 0
   and .headline.epoch_speedup_vs_baseline > 0
 ' "$tmp_train" >/dev/null || { echo "bench.sh: train summary failed validation" >&2; exit 1; }
 
