@@ -14,7 +14,7 @@ use std::time::Instant;
 use sushi_arch::chip::{ChipConfig, WeightConfig};
 use sushi_arch::{PerfModel, ResourceReport};
 use sushi_cells::{CellKind, CellLibrary};
-use sushi_par::{cpu_tier, CpuTier};
+use sushi_par::cpu_tier;
 use sushi_sim::{BatchReport, EvalOptions, PulseTrain};
 use sushi_snn::data::{synth_digits, synth_fashion, Dataset};
 use sushi_snn::metrics::consistency;
@@ -1058,21 +1058,17 @@ pub fn bench_metrics(scale: Scale) -> String {
         tmlp.backward_with(&frames, &targets, &mut ws);
     }
     let bwd_rate = (treps * samples.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
-    // The matmul kernels have a baseline and an AVX2 build only.
-    let matmul_tier = if cpu_tier() >= CpuTier::Avx2 {
-        CpuTier::Avx2
-    } else {
-        CpuTier::Baseline
-    };
+    // The kernels each tier runs are listed in DESIGN.md, "Training hot
+    // path".
     out.push_str(&format!(
         "\n## Bench: training kernels (SIMD + pooled BPTT)\n\
          batch {} x{} reps | forward {:.0} samples/s | backward {:.0} samples/s | \
-         matmul tier: {} | pool workers: {}\n",
+         cpu tier: {} | pool workers: {}\n",
         samples.len(),
         treps,
         fwd_rate,
         bwd_rate,
-        matmul_tier.name(),
+        cpu_tier().name(),
         sushi_par::host_workers(),
     ));
     out

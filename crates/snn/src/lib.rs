@@ -13,7 +13,8 @@
 //! * [`neuron`] — the discrete IF neuron (Eqs. 1–3) with surrogate
 //!   gradients for training;
 //! * [`network`] — the spiking MLP with BPTT forward/backward and the
-//!   allocation-free [`network::TrainScratch`] hot path;
+//!   reusable [`network::TrainScratch`] hot path; binary (XNOR) mode runs
+//!   its layers on packed sign bits;
 //! * [`encoding`] — the Poisson encoder;
 //! * [`optim`] — Adam and SGD;
 //! * [`data`] — deterministic synthetic stand-ins for MNIST
@@ -45,6 +46,7 @@ pub mod neuron;
 pub mod optim;
 pub mod tensor;
 pub mod train;
+mod xnor;
 
 pub use conv::{AvgPool2d, Conv2d};
 pub use data::Dataset;

@@ -121,21 +121,19 @@ impl TrainedSnn {
     /// differs by eliminating those residuals (stateless neuron) and by
     /// integer threshold quantization.
     ///
-    /// It runs the training forward pass: the weights are binarized once
-    /// per call (XNOR mode), then `data` goes through in chunks of
-    /// `config.batch` rows on one reused [`TrainScratch`]. Every row of a
-    /// matmul and every neuron is computed independently, so the
-    /// predictions carry the same bits as classifying each image alone
-    /// with [`SnnMlp::predict`] (stateless off); ties go to the lowest
-    /// class ([`Matrix::argmax_rows`]).
+    /// It runs the training forward pass of the model itself, not a copy,
+    /// with residuals on: an XNOR model multiplies by its packed sign
+    /// words, as it trained, binarized once per call. `data` goes through
+    /// in chunks of `config.batch` rows on one reused [`TrainScratch`].
+    /// Every row of a matmul and every neuron is computed independently,
+    /// so the predictions carry the same bits as classifying each image
+    /// alone with [`SnnMlp::predict`] (stateless off); ties go to the
+    /// lowest class ([`Matrix::argmax_rows`]).
     pub fn predict_all(&self, data: &Dataset) -> Vec<usize> {
-        // SpikingJelly semantics (residuals carry across time steps) on
-        // the weights the model was trained to run with, binarized here
-        // once so that no chunk's pass redoes it.
-        let mlp = SnnMlp::from_weights(self.mlp.effective_weights(), self.mlp.neuron());
         let enc = self.encoder();
         let batch = self.config.batch.max(1);
         let mut ws = TrainScratch::new();
+        self.mlp.binarize_into(&mut ws);
         let mut frames: Vec<Matrix> = Vec::new();
         let mut samples: Vec<&[f32]> = Vec::with_capacity(batch);
         let mut ids: Vec<u64> = Vec::with_capacity(batch);
@@ -146,7 +144,8 @@ impl TrainedSnn {
             ids.clear();
             ids.extend((0..chunk.len()).map(|k| (c * batch + k) as u64));
             enc.encode_batch_into(&samples, self.config.time_steps, &ids, &mut frames);
-            mlp.forward_record_with(&frames, &mut ws);
+            // SpikingJelly semantics: residuals carry across time steps.
+            self.mlp.forward_binarized(&frames, &mut ws, false);
             preds.extend(ws.record().rates.argmax_rows());
         }
         preds
@@ -231,8 +230,9 @@ impl Trainer {
         } else {
             None
         };
-        // One scratch for the whole run: batches reuse
-        // every buffer, so the steady-state loop does not touch the heap.
+        // One scratch for the whole run: batches reuse every buffer, so a
+        // warm batch allocates only the parallel split's plan (see
+        // `TrainScratch`).
         let mut ws = match self.workers {
             Some(n) => TrainScratch::with_workers(n),
             None => TrainScratch::new(),

@@ -82,6 +82,7 @@ grep -q "bitplane batch engine" <<<"$bench_out"
 grep -q "serving pipeline (sharded micro-batching)" <<<"$bench_out"
 grep -q "shards .* | executors " <<<"$bench_out"
 grep -q "training kernels" <<<"$bench_out"
+grep -q "| cpu tier: [a-z0-9]* |" <<<"$bench_out"
 # The verdicts, not just the headers: scalar, packed and bitplane agree
 # on the compiled network, and served classes equal the offline ones.
 for verdict in "predictions agree: true" "served classes match offline: true"; do
