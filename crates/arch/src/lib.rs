@@ -6,8 +6,8 @@
 //!   Fig. 4/5/8, both as a cell-level netlist generator (for the
 //!   `sushi-sim` cell-accurate path) and as a fast behavioural model;
 //! * [`npe`] — the neuromorphic processing element: a serial chain of SCs
-//!   forming a multi-state element (Fig. 9), the biological neuron state
-//!   machine of Fig. 6/7, and the stateless SSNN neuron used for inference;
+//!   forming a multi-state element (Fig. 9) and the biological neuron state
+//!   machine of Fig. 6/7;
 //! * [`weight`] — pulse-gain weight structures (Fig. 10);
 //! * [`network`] — tree and mesh on-chip networks of NPEs (Fig. 11);
 //! * [`floorplan`] — a grid floorplan giving route lengths for the wiring
@@ -42,7 +42,7 @@ pub mod weight;
 
 pub use chip::{ChipConfig, ChipDesign, WeightConfig};
 pub use network::NetworkKind;
-pub use npe::{BioNeuron, NpeChain, SsnnNeuron};
+pub use npe::{BioNeuron, NpeChain};
 pub use power::PerfModel;
 pub use resources::ResourceReport;
 pub use scaleout::{npe_mesh, MultiChip};

@@ -8,14 +8,12 @@
 //! `threshold` input pulses — this is how the multi-state element
 //! "represents the states of the neuron model" without memory.
 //!
-//! Three models are provided:
+//! Two models are provided:
 //!
 //! * [`NpeChain`] — the behavioural SC chain, bit-exact with the cell-level
 //!   netlist from [`NpeNetlist`];
 //! * [`BioNeuron`] — the biological neuron state machine of Figs. 6/7
-//!   (below-threshold / rising / falling-undershoot phases);
-//! * [`SsnnNeuron`] — the stateless neuron of Section 5.1 used for SSNN
-//!   inference (accumulate within a time step, fire, reset to zero).
+//!   (below-threshold / rising / falling-undershoot phases).
 
 use crate::state_controller::{ScBehavior, ScNetlist, ScPorts};
 use sushi_cells::Ps;
@@ -336,86 +334,6 @@ impl BioNeuron {
     }
 }
 
-/// The stateless SSNN neuron of Section 5.1.
-///
-/// Within a time step it accumulates ±1 synaptic contributions; at the end
-/// of the step it fires iff the accumulated potential reached the threshold
-/// and resets to zero ("we simplify the reset procedure by resetting the
-/// membrane potential to zero at the end of each time step").
-///
-/// The hardware realisation is a bounded counter ([`NpeChain`]), so the
-/// model tracks the excursion range and flags overflow — the failure mode
-/// that the synapse bucketing/reordering algorithm exists to prevent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SsnnNeuron {
-    potential: i64,
-    threshold: i64,
-    /// Counter capacity of the backing NPE (`2^k` states).
-    num_states: u64,
-    /// Counter offset: the hardware counter holds `potential + offset`.
-    offset: i64,
-    min_seen: i64,
-    max_seen: i64,
-    overflowed: bool,
-}
-
-impl SsnnNeuron {
-    /// A neuron with integer `threshold`, backed by a counter of
-    /// `num_states` states pre-offset by `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold < 1` or `num_states == 0`.
-    pub fn new(threshold: i64, num_states: u64, offset: i64) -> Self {
-        assert!(threshold >= 1, "threshold must be at least 1");
-        assert!(num_states > 0, "counter needs at least one state");
-        Self {
-            potential: 0,
-            threshold,
-            num_states,
-            offset,
-            min_seen: 0,
-            max_seen: 0,
-            overflowed: false,
-        }
-    }
-
-    /// Current within-step potential.
-    pub fn potential(&self) -> i64 {
-        self.potential
-    }
-
-    /// Applies one synaptic pulse of polarity `excitatory` (+1) or
-    /// inhibitory (−1).
-    pub fn apply(&mut self, excitatory: bool) {
-        self.potential += if excitatory { 1 } else { -1 };
-        self.min_seen = self.min_seen.min(self.potential);
-        self.max_seen = self.max_seen.max(self.potential);
-        let hw = self.potential + self.offset;
-        if hw < 0 || hw >= self.num_states as i64 {
-            self.overflowed = true;
-        }
-    }
-
-    /// Ends the time step: returns whether the neuron fires, and resets the
-    /// potential to zero.
-    pub fn end_of_step(&mut self) -> bool {
-        let fired = self.potential >= self.threshold;
-        self.potential = 0;
-        fired
-    }
-
-    /// The potential excursion `(min, max)` observed since construction.
-    pub fn excursion(&self) -> (i64, i64) {
-        (self.min_seen, self.max_seen)
-    }
-
-    /// True if the backing counter would have over- or under-flowed.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,37 +567,5 @@ mod tests {
     fn bio_neuron_state_count() {
         let n = BioNeuron::new(500, 10, 10);
         assert!(n.state_count() >= 500);
-    }
-
-    #[test]
-    fn ssnn_neuron_fires_and_resets() {
-        let mut n = SsnnNeuron::new(3, 1024, 0);
-        n.apply(true);
-        n.apply(true);
-        assert!(!n.end_of_step()); // 2 < 3, resets
-        for _ in 0..3 {
-            n.apply(true);
-        }
-        assert!(n.end_of_step());
-        assert_eq!(n.potential(), 0);
-    }
-
-    #[test]
-    fn ssnn_neuron_tracks_excursion_and_overflow() {
-        let mut n = SsnnNeuron::new(1, 4, 2); // hw range: potential in [-2, 1]
-        n.apply(false);
-        n.apply(false);
-        assert_eq!(n.excursion(), (-2, 0));
-        assert!(!n.overflowed());
-        n.apply(false); // hw = -1: underflow
-        assert!(n.overflowed());
-    }
-
-    #[test]
-    fn ssnn_inhibition_cancels_excitation() {
-        let mut n = SsnnNeuron::new(1, 1024, 512);
-        n.apply(true);
-        n.apply(false);
-        assert!(!n.end_of_step());
     }
 }

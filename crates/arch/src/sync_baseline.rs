@@ -13,173 +13,13 @@
 //!   throughput" because of it;
 //! * **Integration** — bit-parallel processing exceeds current JJ budgets.
 //!
-//! This module builds those baseline structures for real: a cell-level
-//! [`ShiftRegister`] generator with its counter-flow clock tree (plus a
-//! behavioural model), and the analytical [`SyncAccelerator`] model
-//! (SuperNPU-like) whose resource split and sustained throughput reproduce
-//! the motivation numbers. `experiments sync` compares it against
-//! SUSHI's asynchronous design.
+//! This module models that baseline analytically: [`SyncAccelerator`]
+//! (SuperNPU-like), whose resource split and sustained throughput
+//! reproduce the motivation numbers. `experiments sync` compares it
+//! against SUSHI's asynchronous design.
 
 use crate::resources::{Category, ResourceReport};
-use std::collections::VecDeque;
-use sushi_cells::{CellKind, CellLibrary, PortName, Ps};
-use sushi_sim::{Netlist, NetlistError, PortRef};
-
-/// Cell-level ports of a generated shift register.
-#[derive(Debug, Clone)]
-pub struct ShiftRegisterPorts {
-    /// Serial data input (first DFF's `din`).
-    pub din: PortRef,
-    /// Shared clock input (root of the internal clock splitter tree).
-    pub clk: PortRef,
-    /// Serial data output (last DFF's `dout`).
-    pub dout: PortRef,
-}
-
-/// Generates an `n`-stage DFF shift register with its clock fan-out tree.
-///
-/// Data shifts one stage per clock pulse, using the DFFs' gate-level
-/// pipeline property: each clock pulse releases every stage's stored bit
-/// into the next stage. The clock reaches stages through an SPL tree with
-/// deliberately increasing delays so stage `k+1` is always clocked before
-/// stage `k`'s new datum arrives (counter-flow clocking).
-#[derive(Debug, Clone, Copy)]
-pub struct ShiftRegister;
-
-/// Wire delay inserted between clock taps so the stages are released in
-/// counter-flow order.
-const CLOCK_STAGGER_PS: Ps = 40.0;
-
-impl ShiftRegister {
-    /// Emits an `n`-stage shift register labelled with `prefix`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist wiring errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn build(
-        netlist: &mut Netlist,
-        prefix: &str,
-        n: usize,
-    ) -> Result<ShiftRegisterPorts, NetlistError> {
-        use PortName::*;
-        assert!(n > 0, "a shift register needs at least one stage");
-        let dffs: Vec<_> = (0..n)
-            .map(|i| netlist.add_cell(CellKind::Dff, format!("{prefix}.dff{i}")))
-            .collect();
-        for w in dffs.windows(2) {
-            netlist.connect(w[0], Dout, w[1], Din)?;
-        }
-        // Clock tree: a chain of SPL2s, tapping the *last* stage first
-        // (counter-flow): the clock reaches dff[n-1] with the least delay
-        // and dff[0] with the most, so a stage is emptied before its
-        // upstream neighbour's datum arrives.
-        let clk_root = if n == 1 {
-            PortRef::new(dffs[0], Clk)
-        } else {
-            let spls: Vec<_> = (0..n - 1)
-                .map(|i| netlist.add_cell(CellKind::Spl2, format!("{prefix}.clkspl{i}")))
-                .collect();
-            // spl[i] taps dff[n-1-i]; its other output feeds spl[i+1].
-            for (i, spl) in spls.iter().enumerate() {
-                let stagger = CLOCK_STAGGER_PS;
-                netlist.connect_with_delay(*spl, PortName::DoutB, dffs[n - 1 - i], Clk, 0.0)?;
-                if i + 1 < spls.len() {
-                    netlist.connect_with_delay(*spl, PortName::DoutA, spls[i + 1], Din, stagger)?;
-                } else {
-                    netlist.connect_with_delay(*spl, PortName::DoutA, dffs[0], Clk, stagger)?;
-                }
-            }
-            PortRef::new(spls[0], Din)
-        };
-        Ok(ShiftRegisterPorts {
-            din: PortRef::new(dffs[0], Din),
-            clk: clk_root,
-            dout: PortRef::new(dffs[n - 1], Dout),
-        })
-    }
-
-    /// JJ count of an `n`-stage register under `library` (DFFs plus the
-    /// clock splitter chain — the clock tree is why synchronous memory is
-    /// wiring-hungry).
-    pub fn jj_count(library: &CellLibrary, n: usize) -> u64 {
-        let dff = u64::from(library.params(CellKind::Dff).jj_count);
-        let spl = u64::from(library.params(CellKind::Spl2).jj_count);
-        dff * n as u64 + spl * (n.saturating_sub(1)) as u64
-    }
-}
-
-/// Behavioural shift-register model (a clocked FIFO of bits).
-///
-/// # Examples
-///
-/// ```
-/// use sushi_arch::sync_baseline::ShiftRegisterModel;
-///
-/// let mut sr = ShiftRegisterModel::new(3);
-/// sr.load(true);
-/// assert_eq!(sr.clock(), false); // 3 clocks for the bit to emerge
-/// assert_eq!(sr.clock(), false);
-/// assert_eq!(sr.clock(), true);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShiftRegisterModel {
-    stages: VecDeque<bool>,
-}
-
-impl ShiftRegisterModel {
-    /// An `n`-stage register initialised to zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "a shift register needs at least one stage");
-        Self {
-            stages: VecDeque::from(vec![false; n]),
-        }
-    }
-
-    /// Stage count.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// True if the register has no stages (never; `new` requires `n > 0`).
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// Stores `bit` into stage 0 — like a DFF, the data input latches
-    /// immediately without a clock. Loading twice without a clock between
-    /// is the DFF-overwrite hazard; the last value wins here.
-    pub fn load(&mut self, bit: bool) {
-        self.stages[0] = bit;
-    }
-
-    /// One clock pulse: releases the last stage's bit (returned) and
-    /// shifts every other stage forward; stage 0 becomes empty.
-    pub fn clock(&mut self) -> bool {
-        let out = self.stages.pop_back().expect("non-empty");
-        self.stages.push_front(false);
-        out
-    }
-
-    /// Reads the whole contents, newest first (stage 0 first).
-    pub fn contents(&self) -> Vec<bool> {
-        self.stages.iter().copied().collect()
-    }
-
-    /// Random access cost in clock cycles: a shift register must rotate
-    /// until the wanted word reaches the output — the memory-wall term.
-    pub fn random_access_cycles(&self, index: usize) -> usize {
-        assert!(index < self.len(), "index {index} out of {}", self.len());
-        self.len() - index
-    }
-}
+use sushi_cells::{CellKind, CellLibrary};
 
 /// Analytical model of a synchronous RSFQ SNN accelerator (SuperNPU-like):
 /// bit-serial PEs, shift-register weight memory, global clock tree.
@@ -305,78 +145,6 @@ impl SyncAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sushi_sim::SimConfig;
-
-    #[test]
-    fn behavioral_register_is_a_fifo() {
-        let mut sr = ShiftRegisterModel::new(4);
-        let pattern = [true, false, true, true, false, true];
-        let mut out = Vec::new();
-        for &b in &pattern {
-            sr.load(b);
-            out.push(sr.clock());
-        }
-        // Flush the pipeline.
-        for _ in 0..4 {
-            out.push(sr.clock());
-        }
-        // A bit loaded before clock k emerges on clock k+3 (4 stages).
-        assert_eq!(&out[3..9], &pattern);
-        assert!(out[..3].iter().all(|&b| !b));
-        assert!(!out[9]);
-    }
-
-    #[test]
-    fn random_access_costs_a_rotation() {
-        let sr = ShiftRegisterModel::new(16);
-        assert_eq!(sr.random_access_cycles(15), 1); // head of the queue
-        assert_eq!(sr.random_access_cycles(0), 16); // full rotation
-    }
-
-    #[test]
-    fn cell_level_register_shifts_data() {
-        let lib = CellLibrary::nb03();
-        let mut n = Netlist::new();
-        let ports = ShiftRegister::build(&mut n, "sr", 3).unwrap();
-        n.add_input("din", ports.din.cell, ports.din.port).unwrap();
-        n.add_input("clk", ports.clk.cell, ports.clk.port).unwrap();
-        n.probe("dout", ports.dout.cell, ports.dout.port).unwrap();
-        let mut sim = SimConfig::new().build(&n, &lib);
-        // Load a 1, then clock three times: it must appear exactly once,
-        // on the third clock.
-        sim.inject("din", &[100.0]).unwrap();
-        sim.inject("clk", &[500.0, 1000.0, 1500.0]).unwrap();
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.pulses("dout").len(), 1);
-        assert!(sim.violations().is_empty(), "{:?}", sim.violations());
-        // The 1 emerged after the third clock (plus propagation).
-        assert!(sim.pulses("dout")[0] > 1500.0);
-    }
-
-    #[test]
-    fn cell_level_register_streams_a_pattern() {
-        let lib = CellLibrary::nb03();
-        let mut n = Netlist::new();
-        let ports = ShiftRegister::build(&mut n, "sr", 2).unwrap();
-        n.add_input("din", ports.din.cell, ports.din.port).unwrap();
-        n.add_input("clk", ports.clk.cell, ports.clk.port).unwrap();
-        n.probe("dout", ports.dout.cell, ports.dout.port).unwrap();
-        let mut sim = SimConfig::new().build(&n, &lib);
-        // Pattern 1,1 loaded between clocks: both bits must emerge.
-        sim.inject("din", &[100.0, 1100.0]).unwrap();
-        sim.inject("clk", &[1000.0, 2000.0, 3000.0]).unwrap();
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.pulses("dout").len(), 2);
-        assert!(sim.violations().is_empty(), "{:?}", sim.violations());
-    }
-
-    #[test]
-    fn register_jj_count_scales() {
-        let lib = CellLibrary::nb03();
-        // n DFFs (6 JJ) + (n-1) SPLs (3 JJ).
-        assert_eq!(ShiftRegister::jj_count(&lib, 1), 6);
-        assert_eq!(ShiftRegister::jj_count(&lib, 8), 8 * 6 + 7 * 3);
-    }
 
     /// The Section 3A claim: a synchronous design is ~80% wiring.
     #[test]
@@ -416,11 +184,5 @@ mod tests {
         assert!(sushi_res.wiring_fraction() < sync.resources().wiring_fraction());
         assert!(sushi_perf.gsops() > 10.0 * sync.sustained_gsops());
         assert!(sushi_perf.gsops_per_w() > 5.0 * sync.gsops_per_w());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn zero_stage_register_panics() {
-        let _ = ShiftRegisterModel::new(0);
     }
 }

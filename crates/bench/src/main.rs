@@ -4,9 +4,9 @@
 //!   cargo run --release -p sushi-bench -- [--quick] [EXPERIMENT...]
 //!
 //! With no arguments, runs everything at full scale. `--quick` uses the
-//! reduced training scale. EXPERIMENT names: table1, table2, table3,
-//! table4, fig13, fig14, fig16, fig19, fig20, fig21, delay, reload,
-//! states, quantization, sync, process, conv, scaleout, fps.
+//! reduced training scale. The EXPERIMENT names are [`EXPERIMENTS`]; an
+//! unknown name or another flag prints them to stderr and exits with
+//! status 2.
 //!
 //! The extra `bench` name (not part of the default run) prints the
 //! observability drill-down: hot-cell and per-worker metrics tables for
@@ -19,6 +19,32 @@ use sushi_core::experiments as exp;
 
 mod serve_bench;
 
+/// Every name the command accepts. `bench` and `serve` are opt-in: a run
+/// without names skips them.
+const EXPERIMENTS: [&str; 21] = [
+    "bench",
+    "serve",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig13",
+    "fig14",
+    "fig16",
+    "fig19",
+    "fig20",
+    "fig21",
+    "delay",
+    "reload",
+    "states",
+    "quantization",
+    "sync",
+    "process",
+    "conv",
+    "scaleout",
+    "fps",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -29,9 +55,18 @@ fn main() {
     };
     let selected: Vec<&str> = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
+        .filter(|a| *a != "--quick")
         .collect();
+    if let Some(bad) = selected.iter().find(|a| !EXPERIMENTS.contains(a)) {
+        eprintln!(
+            "unknown experiment {bad:?}\n\
+             usage: sushi-bench [--quick] [EXPERIMENT...]\n\
+             experiments: {}",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let want = |name: &str| selected.is_empty() || selected.contains(&name);
 
     // Opt-in only: metrics instrumentation is not part of the paper run.

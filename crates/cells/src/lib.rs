@@ -30,13 +30,11 @@
 //! assert!(c.min_separation(sushi_cells::PortName::Clk, sushi_cells::PortName::Clk).unwrap() > 39.0);
 //! ```
 
-pub mod energy;
 pub mod kind;
 pub mod library;
 pub mod params;
 pub mod timing;
 
-pub use energy::PowerModel;
 pub use kind::{CellKind, PortDir, PortName};
 pub use library::{CellLibrary, RoutingParams};
 pub use params::CellParams;

@@ -34,8 +34,8 @@ use sushi_ssnn::encode::StepEncoder;
 pub struct CellAccurateChip {
     chip: ChipNetlist,
     library: CellLibrary,
-    faults: Vec<(sushi_sim::CellId, Fault)>,
-    jitter: Option<(u64, Ps)>,
+    /// The chip's faults and jitter.
+    config: SimConfig,
     /// Netlist input name per [`StepEncoder`] channel id, resolved once.
     channels: Vec<String>,
 }
@@ -82,8 +82,7 @@ impl CellAccurateChip {
         Ok(Self {
             chip: design.build_netlist()?,
             library: CellLibrary::nb03(),
-            faults: Vec::new(),
-            jitter: None,
+            config: SimConfig::new(),
             channels: (0..encoder.channel_count())
                 .map(|id| encoder.channel_name(id))
                 .collect(),
@@ -98,8 +97,7 @@ impl CellAccurateChip {
     ///
     /// Panics if `sigma_ps` is negative.
     pub fn with_jitter(mut self, seed: u64, sigma_ps: Ps) -> Self {
-        assert!(sigma_ps >= 0.0, "jitter sigma must be non-negative");
-        self.jitter = Some((seed, sigma_ps));
+        self.config = self.config.jitter(seed, sigma_ps);
         self
     }
 
@@ -122,8 +120,9 @@ impl CellAccurateChip {
             !matches.is_empty(),
             "no cell label contains {label_fragment:?}"
         );
-        self.faults
-            .extend(matches.into_iter().map(|id| (id, fault)));
+        self.config = matches
+            .into_iter()
+            .fold(self.config, |config, id| config.fault(id, fault));
         self
     }
 
@@ -197,7 +196,7 @@ impl CellAccurateChip {
             assert_eq!(active.len(), layer.inputs(), "active width mismatch");
         }
         let runner = BatchRunner::new(&self.chip.netlist, &self.library)
-            .with_config(&self.sim_config())
+            .with_config(&self.config)
             .with_workers(opts.resolve_workers());
         let (staged, report) = runner.run_each(
             jobs.len(),
@@ -218,18 +217,6 @@ impl CellAccurateChip {
             .map(|((end_ps, outcome), (cols, _))| Self::package(cols.len(), end_ps, outcome))
             .collect();
         Ok(CellBatchRun { results, report })
-    }
-
-    /// The simulator configuration of this chip: its faults and jitter.
-    fn sim_config(&self) -> SimConfig {
-        let mut config = SimConfig::new();
-        for &(cell, fault) in &self.faults {
-            config = config.fault(cell, fault);
-        }
-        if let Some((seed, sigma)) = self.jitter {
-            config = config.jitter(seed, sigma);
-        }
-        config
     }
 
     fn package(width: usize, end_ps: Ps, outcome: SimOutcome) -> CellRunResult {
@@ -492,7 +479,7 @@ mod tests {
             }
             t = sched.end_time().max(t) + SETTLE_PS;
         }
-        let mut sim = chip.sim_config().build(&chip.chip.netlist, &chip.library);
+        let mut sim = chip.config.clone().build(&chip.chip.netlist, &chip.library);
         b.build().inject_into(&mut sim).unwrap();
         sim.run_to_completion().unwrap();
         CellAccurateChip::package(cols.len(), t, sim.take_outcome())

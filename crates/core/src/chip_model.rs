@@ -18,7 +18,7 @@ use sushi_snn::data::Dataset;
 use sushi_snn::metrics::accuracy;
 use sushi_ssnn::reload::{breakdown, ReloadBreakdown};
 use sushi_ssnn::stateless::ExecStats;
-use sushi_ssnn::ChipProgram;
+use sushi_ssnn::{argmax_low, ChipProgram};
 
 /// Result of one inference on the chip.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,12 +97,7 @@ impl SushiChip {
         let frames = program.encode_input(image, sample_id);
         let exec = program.executor();
         let (counts, stats) = exec.forward_counts(&frames);
-        let prediction = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("at least one class");
+        let prediction = argmax_low(&counts);
         InferenceOutcome {
             prediction,
             counts,

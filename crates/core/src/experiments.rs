@@ -1074,45 +1074,6 @@ pub fn bench_metrics(scale: Scale) -> String {
     out
 }
 
-/// Runs every experiment at the given scale and concatenates the reports.
-pub fn run_all(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&table1());
-    out.push('\n');
-    out.push_str(&table2().1);
-    out.push('\n');
-    out.push_str(&fig13().1);
-    out.push('\n');
-    out.push_str(&table3(scale).1);
-    out.push('\n');
-    out.push_str(&fig14());
-    out.push('\n');
-    out.push_str(&fig16().1);
-    out.push('\n');
-    out.push_str(&table4());
-    out.push('\n');
-    out.push_str(&fig19_20_21().1);
-    out.push('\n');
-    out.push_str(&delay_ablation());
-    out.push('\n');
-    out.push_str(&reload_ablation(scale));
-    out.push('\n');
-    out.push_str(&states_ablation(scale));
-    out.push('\n');
-    out.push_str(&quantization_ablation(scale));
-    out.push('\n');
-    out.push_str(&sync_baseline_ablation());
-    out.push('\n');
-    out.push_str(&process_ablation());
-    out.push('\n');
-    out.push_str(&conv_demo());
-    out.push('\n');
-    out.push_str(&scaleout_study());
-    out.push('\n');
-    out.push_str(&fps_paper_shape());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

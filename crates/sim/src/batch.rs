@@ -63,9 +63,9 @@
 //! ```
 
 use crate::config::SimConfig;
-use crate::engine::{Fault, SimError, SimOutcome, Simulator};
+use crate::engine::{SimError, SimOutcome, Simulator};
 use crate::json::Json;
-use crate::netlist::{CellId, Netlist};
+use crate::netlist::Netlist;
 use crate::observe::{ActivityProfiler, HotCellEntry};
 use crate::stimulus::Stimulus;
 use std::ops::Range;
@@ -83,10 +83,8 @@ pub struct BatchRunner<'a> {
     library: &'a CellLibrary,
     /// `None` = one per host CPU ([`sushi_par::host_workers`]).
     workers: Option<usize>,
-    faults: Vec<(CellId, Fault)>,
-    event_limit: Option<u64>,
-    /// `(seed, sigma_ps)` of the chip's timing jitter.
-    jitter: Option<(u64, Ps)>,
+    /// What every worker's simulator is built from; never has an observer.
+    config: SimConfig,
 }
 
 /// What [`BatchRunner::run_each`] returns: every item's staged value
@@ -106,22 +104,18 @@ impl<'a> BatchRunner<'a> {
             netlist,
             library,
             workers: None,
-            faults: Vec::new(),
-            event_limit: None,
-            jitter: None,
+            config: SimConfig::new(),
         }
     }
 
     /// Builds every worker's simulator as `config` builds one (builder
-    /// style), replacing the faults, event limit and jitter set so far.
+    /// style), replacing any config set before.
     /// Config jitter models one chip: every item starts from the config's
     /// seed (a reset rewinds the draws), exactly as on a fresh simulator
     /// built from `config`. An observer in `config` is not used; use
     /// [`BatchRunner::run_with_report`] for per-worker metrics.
     pub fn with_config(mut self, config: &SimConfig) -> Self {
-        self.faults = config.faults().to_vec();
-        self.event_limit = config.event_limit_value();
-        self.jitter = config.jitter_params();
+        self.config = config.without_observer();
         self
     }
 
@@ -138,17 +132,7 @@ impl<'a> BatchRunner<'a> {
     }
 
     fn make_simulator(&self) -> Simulator<'a> {
-        let mut sim = Simulator::new(self.netlist, self.library);
-        for &(cell, fault) in &self.faults {
-            sim.set_fault(cell, fault);
-        }
-        if let Some(limit) = self.event_limit {
-            sim.set_event_limit(limit);
-        }
-        if let Some((seed, sigma_ps)) = self.jitter {
-            sim.set_jitter(seed, sigma_ps);
-        }
-        sim
+        self.config.clone().build(self.netlist, self.library)
     }
 
     fn run_item<T>(

@@ -2,9 +2,9 @@
 //! options ([`EvalOptions`]).
 //!
 //! `SimConfig` replaces the old `Simulator::new(..).with_jitter(..)`
-//! builder chain: the configuration is a plain value that can be stored,
-//! compared, serialized and applied to any netlist/library pair. The same
-//! config can build many simulators (e.g. one per batch worker).
+//! builder chain: the configuration is a plain value that can be stored
+//! and applied to any netlist/library pair. The same config can build
+//! many simulators (e.g. one per batch worker).
 //!
 //! `EvalOptions` plays the matching role one layer up: the knobs shared by
 //! every batch-evaluation entry point (worker count, base seed, metrics
@@ -33,30 +33,18 @@
 //! ```
 
 use crate::engine::{Fault, Simulator};
-use crate::json::{Json, JsonError};
 use crate::netlist::{CellId, Netlist};
 use crate::observe::SimObserver;
 use sushi_cells::{CellLibrary, Ps};
 
-/// A declarative simulator configuration.
-///
-/// Equality and serialization cover the reproducibility-relevant fields
-/// (jitter, faults, event limit); the attached observer is a run-time
-/// instrument and is deliberately excluded from both.
+/// A declarative simulator configuration: jitter, faults, event limit
+/// and an optional observer.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     jitter: Option<(u64, Ps)>,
     faults: Vec<(CellId, Fault)>,
     event_limit: Option<u64>,
     observer: Option<Box<dyn SimObserver>>,
-}
-
-impl PartialEq for SimConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.jitter == other.jitter
-            && self.faults == other.faults
-            && self.event_limit == other.event_limit
-    }
 }
 
 impl SimConfig {
@@ -98,26 +86,6 @@ impl SimConfig {
         self
     }
 
-    /// The configured jitter `(seed, sigma_ps)`, if any.
-    pub fn jitter_params(&self) -> Option<(u64, Ps)> {
-        self.jitter
-    }
-
-    /// The configured faults.
-    pub fn faults(&self) -> &[(CellId, Fault)] {
-        &self.faults
-    }
-
-    /// The configured event limit, if overridden.
-    pub fn event_limit_value(&self) -> Option<u64> {
-        self.event_limit
-    }
-
-    /// True if an observer is attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// Builds a simulator over `netlist`/`library` with this
     /// configuration applied. The config is consumed because the observer
     /// (if any) moves into the simulator; clone first to reuse it.
@@ -138,107 +106,13 @@ impl SimConfig {
         sim
     }
 
-    /// The serializable form of the configuration (observer excluded).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "jitter",
-                match self.jitter {
-                    Some((seed, sigma)) => Json::obj(vec![
-                        ("seed", Json::UInt(seed)),
-                        ("sigma_ps", Json::Num(sigma)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "faults",
-                Json::Arr(
-                    self.faults
-                        .iter()
-                        .map(|(cell, fault)| {
-                            Json::obj(vec![
-                                ("cell", Json::UInt(cell.index() as u64)),
-                                (
-                                    "fault",
-                                    Json::Str(
-                                        match fault {
-                                            Fault::DropOutput => "drop_output",
-                                            Fault::IgnoreInput => "ignore_input",
-                                        }
-                                        .to_owned(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "event_limit",
-                match self.event_limit {
-                    Some(n) => Json::UInt(n),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Rebuilds a configuration from [`SimConfig::to_json`] output. The
-    /// observer is not part of the serialized form; attach one afterwards
-    /// if needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let bad = |pos: usize, message: &str| JsonError {
-            pos,
-            message: message.to_owned(),
-        };
-        let v = Json::parse(text)?;
-        let mut config = SimConfig::new();
-        match v.get("jitter") {
-            Some(Json::Null) | None => {}
-            Some(j) => {
-                let seed = j
-                    .get("seed")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad(0, "jitter.seed must be a u64"))?;
-                let sigma = j
-                    .get("sigma_ps")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad(0, "jitter.sigma_ps must be a number"))?;
-                config = config.jitter(seed, sigma);
-            }
+    /// A copy of this configuration without its observer.
+    pub(crate) fn without_observer(&self) -> Self {
+        Self {
+            faults: self.faults.clone(),
+            observer: None,
+            ..*self
         }
-        if let Some(faults) = v.get("faults") {
-            for f in faults
-                .as_arr()
-                .ok_or_else(|| bad(0, "faults must be an array"))?
-            {
-                let cell = f
-                    .get("cell")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad(0, "fault.cell must be a u64"))?;
-                let fault = match f.get("fault").and_then(Json::as_str) {
-                    Some("drop_output") => Fault::DropOutput,
-                    Some("ignore_input") => Fault::IgnoreInput,
-                    _ => return Err(bad(0, "fault.fault must name a known fault")),
-                };
-                config = config.fault(CellId::from_index(cell as usize), fault);
-            }
-        }
-        match v.get("event_limit") {
-            Some(Json::Null) | None => {}
-            Some(n) => {
-                let limit = n
-                    .as_u64()
-                    .ok_or_else(|| bad(0, "event_limit must be a u64"))?;
-                config = config.event_limit(limit);
-            }
-        }
-        Ok(config)
     }
 }
 
@@ -315,7 +189,6 @@ impl EvalOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::ActivityProfiler;
     use sushi_cells::{CellKind, CellLibrary, PortName};
 
     fn chain() -> Netlist {
@@ -326,42 +199,6 @@ mod tests {
         n.add_input("in", src, PortName::Din).unwrap();
         n.probe("out", j, PortName::Dout).unwrap();
         n
-    }
-
-    #[test]
-    fn config_round_trips_through_json() {
-        let config = SimConfig::new()
-            .jitter(0xDEAD_BEEF_DEAD_BEEF, 2.5)
-            .fault(CellId::from_index(3), Fault::DropOutput)
-            .fault(CellId::from_index(7), Fault::IgnoreInput)
-            .event_limit(123_456_789_012_345);
-        let text = config.to_json().to_string();
-        let back = SimConfig::from_json(&text).unwrap();
-        assert_eq!(back, config);
-        // Field-level checks: u64s survive exactly.
-        assert_eq!(back.jitter_params(), Some((0xDEAD_BEEF_DEAD_BEEF, 2.5)));
-        assert_eq!(back.event_limit_value(), Some(123_456_789_012_345));
-        assert_eq!(back.faults().len(), 2);
-    }
-
-    #[test]
-    fn empty_config_round_trips_and_observer_is_excluded() {
-        let config = SimConfig::new();
-        let back = SimConfig::from_json(&config.to_json().to_string()).unwrap();
-        assert_eq!(back, config);
-        // Observer presence affects neither equality nor serialization.
-        let with_obs = SimConfig::new().observer(ActivityProfiler::new());
-        assert!(with_obs.has_observer());
-        assert_eq!(with_obs, config);
-        assert_eq!(with_obs.to_json().to_string(), config.to_json().to_string());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_configs() {
-        assert!(SimConfig::from_json("not json").is_err());
-        assert!(SimConfig::from_json(r#"{"jitter":{"seed":"x"}}"#).is_err());
-        assert!(SimConfig::from_json(r#"{"faults":[{"cell":1,"fault":"melt"}]}"#).is_err());
-        assert!(SimConfig::from_json(r#"{"event_limit":-3.0}"#).is_err());
     }
 
     #[test]

@@ -968,6 +968,36 @@ mod tests {
         assert!(sim.is_idle());
     }
 
+    /// The delivery-timestamp contract: a pulse injected in the simulated
+    /// past after `run_until` is delivered next, at its own earlier time,
+    /// so `on_deliver` times may go backwards.
+    #[test]
+    fn past_injection_mid_run_is_delivered_next_at_its_own_time() {
+        use crate::observe::{RingTracer, TraceKind};
+        let n = simple_chain();
+        let l = lib();
+        let mut sim = SimConfig::new().observer(RingTracer::new(64)).build(&n, &l);
+        sim.inject("in", &[1000.0, 2000.0]).unwrap();
+        sim.run_until(1500.0).unwrap();
+        sim.inject("in", &[100.0]).unwrap();
+        sim.run_to_completion().unwrap();
+        let tracer: RingTracer = sim.take_observer_as().unwrap();
+        let delivered: Vec<Ps> = tracer
+            .events()
+            .filter(|e| matches!(e.what, TraceKind::Deliver { .. }))
+            .map(|e| e.time)
+            .collect();
+        // Each pulse reaches `src`, then `j` one DCSFQ delay later. The
+        // past pulse is delivered after the 1000 ps pulse that ran before
+        // the injection, at its own 100 ps.
+        let hop = l.params(CellKind::DcSfq).delay_ps;
+        let want: Vec<Ps> = [1000.0, 100.0, 2000.0]
+            .into_iter()
+            .flat_map(|t| [t, t + hop])
+            .collect();
+        assert_eq!(delivered, want);
+    }
+
     #[test]
     fn reset_clears_everything() {
         let n = simple_chain();

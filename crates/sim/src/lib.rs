@@ -54,8 +54,7 @@ pub use engine::{Fault, SimError, SimOutcome, SimStats, Simulator, Violation, Vi
 pub use json::{Json, JsonError};
 pub use netlist::{CellId, Netlist, NetlistError, PortRef};
 pub use observe::{
-    ActivityProfiler, CellActivity, HotCellEntry, RingTracer, SimObserver, ThroughputMeter,
-    TraceEvent, TraceKind,
+    ActivityProfiler, CellActivity, HotCellEntry, RingTracer, SimObserver, TraceEvent, TraceKind,
 };
 pub use partition::PartitionPlan;
 pub use queue::CalendarQueue;

@@ -14,7 +14,6 @@
 //!
 //! * [`ActivityProfiler`] — per-cell delivery/emission counts and
 //!   switching energy, with a top-N hot-cell report;
-//! * [`ThroughputMeter`] — peak event rate over a sliding sim-time window;
 //! * [`RingTracer`] — a bounded ring buffer of recent events for
 //!   post-mortem debugging of violations.
 //!
@@ -63,10 +62,11 @@ use sushi_cells::{CellKind, CellLibrary, Ps};
 ///
 /// Observers are `Send` so a simulator can cross into the partitioned
 /// parallel runner
-/// ([`Simulator::run_partitioned`](crate::Simulator::run_partitioned));
+/// ([`Simulator::run_partitioned`](crate::Simulator::run_partitioned)),
+/// and `Sync` so batch workers can share one [`SimConfig`](crate::SimConfig);
 /// hooks still only ever fire from one thread at a time, in exact
 /// sequential order.
-pub trait SimObserver: fmt::Debug + Send {
+pub trait SimObserver: fmt::Debug + Send + Sync {
     /// Pulses were scheduled on the named external input.
     fn on_inject(&mut self, input: &str, times: &[Ps]) {
         let _ = (input, times);
@@ -264,124 +264,6 @@ impl SimObserver for ActivityProfiler {
 
     fn on_run_end(&mut self, _stats: &SimStats) {
         self.runs += 1;
-    }
-
-    fn box_clone(&self) -> Box<dyn SimObserver> {
-        Box::new(self.clone())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// Peak event rate over a sliding window of simulated time.
-///
-/// Every delivery time enters a queue; deliveries older than `window_ps`
-/// fall out. The high-water mark of the queue length is the densest burst
-/// the run produced — the number SUSHI's "ultra-high-speed" claim is
-/// about, independent of host wall-clock speed.
-///
-/// Delivery timestamps are *not* guaranteed to be monotone: an event
-/// scheduled at or before the engine's drain cursor (e.g. a mid-run
-/// [`Simulator::inject`](crate::Simulator::inject) of a past time) is
-/// delivered next while keeping its original, earlier timestamp. The
-/// meter tolerates that: a late arrival still inside the current window
-/// is insertion-sorted into place and counted; one older than the window
-/// counts toward [`ThroughputMeter::total_events`] and
-/// [`ThroughputMeter::late_events`] but cannot retroactively raise an
-/// already-closed window's peak.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputMeter {
-    window_ps: Ps,
-    /// Delivery times inside the current window, ascending. Kept sorted
-    /// even when deliveries arrive out of order.
-    recent: VecDeque<Ps>,
-    /// Latest delivery time seen this run (the window's trailing edge).
-    latest: Ps,
-    peak: usize,
-    total: u64,
-    late: u64,
-}
-
-impl ThroughputMeter {
-    /// A meter with the given sim-time window width (ps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_ps` is not positive.
-    pub fn new(window_ps: Ps) -> Self {
-        assert!(window_ps > 0.0, "window must be positive");
-        Self {
-            window_ps,
-            recent: VecDeque::new(),
-            latest: Ps::NEG_INFINITY,
-            peak: 0,
-            total: 0,
-            late: 0,
-        }
-    }
-
-    /// The configured window width, ps.
-    pub fn window_ps(&self) -> Ps {
-        self.window_ps
-    }
-
-    /// Most deliveries seen inside one window.
-    pub fn peak_events_in_window(&self) -> usize {
-        self.peak
-    }
-
-    /// Peak delivery rate in events per nanosecond.
-    pub fn peak_events_per_ns(&self) -> f64 {
-        self.peak as f64 / (self.window_ps / 1000.0)
-    }
-
-    /// Total deliveries observed.
-    pub fn total_events(&self) -> u64 {
-        self.total
-    }
-
-    /// Deliveries whose timestamp was already older than the window when
-    /// they arrived (late events from before-cursor scheduling). They are
-    /// in [`ThroughputMeter::total_events`] but not in any window count.
-    pub fn late_events(&self) -> u64 {
-        self.late
-    }
-}
-
-impl SimObserver for ThroughputMeter {
-    fn on_deliver(&mut self, _cell: CellId, _kind: CellKind, time: Ps) {
-        self.total += 1;
-        self.latest = self.latest.max(time);
-        if self.latest - time > self.window_ps {
-            // A late delivery from an already-closed window: counting it
-            // into the *current* window would inflate the peak with an
-            // event that never coincided with these neighbours.
-            self.late += 1;
-            return;
-        }
-        // Deliveries are usually in time order, so scan from the back for
-        // the (rare) late-but-in-window insertion point.
-        let mut at = self.recent.len();
-        while at > 0 && self.recent[at - 1] > time {
-            at -= 1;
-        }
-        self.recent.insert(at, time);
-        while let Some(&front) = self.recent.front() {
-            if self.latest - front > self.window_ps {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.peak = self.peak.max(self.recent.len());
-    }
-
-    fn on_run_end(&mut self, _stats: &SimStats) {
-        // Events do not carry across runs; the peak does.
-        self.recent.clear();
-        self.latest = Ps::NEG_INFINITY;
     }
 
     fn box_clone(&self) -> Box<dyn SimObserver> {
@@ -644,75 +526,6 @@ mod tests {
         let tracer: RingTracer = sim.take_observer_as().unwrap();
         assert!(tracer.violations().count() > 0);
         assert_eq!(tracer.dropped(), 0);
-    }
-
-    #[test]
-    fn throughput_meter_tracks_peak_window() {
-        let n = chain();
-        let l = lib();
-        let mut sim = SimConfig::new()
-            .observer(ThroughputMeter::new(100.0))
-            .build(&n, &l);
-        // A dense burst (4 pulses in 90 ps) followed by sparse stragglers.
-        sim.inject("in", &[0.0, 30.0, 60.0, 90.0, 1000.0, 2000.0])
-            .unwrap();
-        sim.run_to_completion().unwrap();
-        let meter: ThroughputMeter = sim.take_observer_as().unwrap();
-        assert_eq!(meter.total_events(), 12);
-        // The burst lands 4 deliveries on each cell inside one window, and
-        // the two cells' windows interleave: peak is at least 4.
-        assert!(meter.peak_events_in_window() >= 4);
-        assert!(meter.peak_events_per_ns() > 0.0);
-    }
-
-    #[test]
-    fn throughput_meter_tolerates_backwards_timestamps() {
-        // Regression: CalendarQueue delivers events scheduled before the
-        // drain cursor *next* while keeping their original earlier times,
-        // so on_deliver timestamps can decrease. The old accounting pushed
-        // the late time at the back of the window queue, where it could
-        // never be evicted and inflated every later peak.
-        let cell = CellId::from_index(0);
-        let mut m = ThroughputMeter::new(50.0);
-        m.on_deliver(cell, CellKind::Jtl, 100.0);
-        // 95 ps in the past: outside the window, must not join the burst.
-        m.on_deliver(cell, CellKind::Jtl, 5.0);
-        assert_eq!(m.peak_events_in_window(), 1);
-        assert_eq!(m.total_events(), 2);
-        assert_eq!(m.late_events(), 1);
-
-        // Late but still inside the window: counted, in sorted order.
-        m.on_deliver(cell, CellKind::Jtl, 80.0);
-        m.on_deliver(cell, CellKind::Jtl, 60.0);
-        assert_eq!(m.peak_events_in_window(), 3); // {60, 80, 100}
-                                                  // A later delivery slides the window forward and evicts the old
-                                                  // entries even though they arrived out of order.
-        m.on_deliver(cell, CellKind::Jtl, 140.0);
-        assert_eq!(m.peak_events_in_window(), 3); // {100, 140} is only 2
-        assert_eq!(m.total_events(), 5);
-        assert_eq!(m.late_events(), 1);
-    }
-
-    #[test]
-    fn throughput_meter_survives_past_injection_mid_run() {
-        // Engine-level regression: pause with run_until, inject a pulse in
-        // the simulated past, and resume. The meter must not merge the
-        // stale delivery into the current window's burst.
-        let n = chain();
-        let l = lib();
-        let mut sim = SimConfig::new()
-            .observer(ThroughputMeter::new(300.0))
-            .build(&n, &l);
-        sim.inject("in", &[1000.0, 2000.0]).unwrap();
-        sim.run_until(1500.0).unwrap();
-        // Scheduled 900 ps before the cursor: delivered next, time 100.
-        sim.inject("in", &[100.0]).unwrap();
-        sim.run_to_completion().unwrap();
-        let meter: ThroughputMeter = sim.take_observer_as().unwrap();
-        // 3 pulses x 2 cells delivered; each pulse's pair is one burst.
-        assert_eq!(meter.total_events(), 6);
-        assert_eq!(meter.late_events(), 2);
-        assert_eq!(meter.peak_events_in_window(), 2);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! Section 2.2 of the paper: "various topological structures can be
 //! developed in SNNs ... linear mapping layers, convolutional layers",
 //! and the bit-slice SSNN method maps any layer whose synapses form a
-//! (sparse) matrix. This module provides a [`Conv2d`] with
-//! im2col-based forward/backward, average pooling, and — crucially for
-//! the chip path — [`Conv2d::unroll_to_dense`], the Toeplitz unrolling
-//! that turns a convolution into an equivalent fully-connected weight
-//! matrix the SSNN compiler already knows how to binarize, bucket and
-//! bit-slice.
+//! (sparse) matrix. This module provides a [`Conv2d`] with an
+//! im2col-based forward pass and — crucially for the chip path —
+//! [`Conv2d::unroll_to_dense`], the Toeplitz unrolling that turns a
+//! convolution into an equivalent fully-connected weight matrix the SSNN
+//! compiler already knows how to binarize, bucket and bit-slice.
 
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
@@ -111,20 +110,9 @@ impl Conv2d {
         )
     }
 
-    /// Output width in flattened activations.
-    pub fn out_features(&self, h: usize, w: usize) -> usize {
-        let (oh, ow) = self.out_size(h, w);
-        self.out_ch * oh * ow
-    }
-
     /// The kernel weights (`(in_ch*k*k) x out_ch`).
     pub fn weights(&self) -> &Matrix {
         &self.weights
-    }
-
-    /// Mutable kernel weights (for the optimizer).
-    pub fn weights_mut(&mut self) -> &mut Matrix {
-        &mut self.weights
     }
 
     /// im2col: expands `input` (`batch x in_ch*h*w`) into patch rows
@@ -180,54 +168,6 @@ impl Conv2d {
         res
     }
 
-    /// Gradient step: given `g_out` (`batch x out_ch*oh*ow`) and the saved
-    /// input, returns `(g_weights, g_input)`.
-    pub fn backward(&self, input: &Matrix, h: usize, w: usize, g_out: &Matrix) -> (Matrix, Matrix) {
-        let (oh, ow) = self.out_size(h, w);
-        assert_eq!(
-            g_out.cols(),
-            self.out_ch * oh * ow,
-            "gradient width mismatch"
-        );
-        // Back to (batch*oh*ow) x out_ch layout.
-        let mut g_pos = Matrix::zeros(input.rows() * oh * ow, self.out_ch);
-        for b in 0..input.rows() {
-            let src = g_out.row(b);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let dst = g_pos.row_mut((b * oh + oy) * ow + ox);
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        *d = src[c * oh * ow + oy * ow + ox];
-                    }
-                }
-            }
-        }
-        let col = self.im2col(input, h, w);
-        let g_w = col.transpose_matmul(&g_pos);
-        // col gradient -> input gradient (col2im scatter-add).
-        let g_col = g_pos.matmul_transpose(&self.weights);
-        let k = self.kernel;
-        let mut g_in = Matrix::zeros(input.rows(), input.cols());
-        for b in 0..input.rows() {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let src = g_col.row((b * oh + oy) * ow + ox);
-                    let dst = g_in.row_mut(b);
-                    for c in 0..self.in_ch {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let y = oy * self.stride + ky;
-                                let x = ox * self.stride + kx;
-                                dst[c * h * w + y * w + x] += src[(c * k + ky) * k + kx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (g_w, g_in)
-    }
-
     /// Toeplitz unrolling: the equivalent dense weight matrix
     /// (`in_ch*h*w x out_ch*oh*ow`) such that
     /// `input.matmul(&unrolled) == conv.forward(input, h, w)` exactly.
@@ -257,76 +197,6 @@ impl Conv2d {
             }
         }
         dense
-    }
-}
-
-/// Average pooling over non-overlapping `size x size` windows, applied
-/// per channel.
-///
-/// # Examples
-///
-/// ```
-/// use sushi_snn::conv::AvgPool2d;
-/// use sushi_snn::Matrix;
-///
-/// let pool = AvgPool2d::new(2);
-/// let x = Matrix::from_rows(&[&[1.0, 1.0, 0.0, 0.0,
-///                               1.0, 1.0, 0.0, 0.0,
-///                               0.0, 0.0, 0.0, 0.0,
-///                               0.0, 0.0, 0.0, 4.0]]);
-/// let y = pool.forward(&x, 1, 4, 4);
-/// assert_eq!(y.as_slice(), &[1.0, 0.0, 0.0, 1.0]);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AvgPool2d {
-    size: usize,
-}
-
-impl AvgPool2d {
-    /// A pool over `size x size` windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn new(size: usize) -> Self {
-        assert!(size > 0, "pool size must be positive");
-        Self { size }
-    }
-
-    /// Pools `input` (`batch x ch*h*w`); `h` and `w` must divide evenly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on indivisible dimensions or width mismatch.
-    pub fn forward(&self, input: &Matrix, ch: usize, h: usize, w: usize) -> Matrix {
-        assert_eq!(input.cols(), ch * h * w, "input width mismatch");
-        assert!(
-            h.is_multiple_of(self.size) && w.is_multiple_of(self.size),
-            "pool must divide the map"
-        );
-        let (oh, ow) = (h / self.size, w / self.size);
-        let mut out = Matrix::zeros(input.rows(), ch * oh * ow);
-        let norm = 1.0 / (self.size * self.size) as f32;
-        for b in 0..input.rows() {
-            let src = input.row(b);
-            let dst = out.row_mut(b);
-            for c in 0..ch {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for dy in 0..self.size {
-                            for dx in 0..self.size {
-                                let y = oy * self.size + dy;
-                                let x = ox * self.size + dx;
-                                acc += src[c * h * w + y * w + x];
-                            }
-                        }
-                        dst[c * oh * ow + oy * ow + ox] = acc * norm;
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -387,62 +257,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-4, "conv {in_ch},{out_ch},{k},{stride}");
             }
         }
-    }
-
-    #[test]
-    fn backward_weight_gradient_matches_finite_difference() {
-        let mut conv = Conv2d::new(1, 1, 2, 1, 3);
-        let x = ramp_input(2, 9);
-        let (h, w) = (3, 3);
-        // Loss = sum of outputs; dL/dout = ones.
-        let out = conv.forward(&x, h, w);
-        let g_out = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        let (g_w, _) = conv.backward(&x, h, w, &g_out);
-        let eps = 1e-2f32;
-        for idx in 0..4 {
-            let orig = conv.weights()[(idx, 0)];
-            conv.weights_mut()[(idx, 0)] = orig + eps;
-            let up: f32 = conv.forward(&x, h, w).sum();
-            conv.weights_mut()[(idx, 0)] = orig - eps;
-            let down: f32 = conv.forward(&x, h, w).sum();
-            conv.weights_mut()[(idx, 0)] = orig;
-            let fd = (up - down) / (2.0 * eps);
-            assert!(
-                (fd - g_w[(idx, 0)]).abs() < 0.05,
-                "idx {idx}: fd {fd} vs {}",
-                g_w[(idx, 0)]
-            );
-        }
-    }
-
-    #[test]
-    fn backward_input_gradient_matches_finite_difference() {
-        let conv = Conv2d::new(1, 2, 2, 1, 5);
-        let mut x = ramp_input(1, 9);
-        let (h, w) = (3, 3);
-        let out = conv.forward(&x, h, w);
-        let g_out = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.cols()]);
-        let (_, g_in) = conv.backward(&x, h, w, &g_out);
-        let eps = 1e-2f32;
-        for idx in [0usize, 4, 8] {
-            let orig = x[(0, idx)];
-            x[(0, idx)] = orig + eps;
-            let up: f32 = conv.forward(&x, h, w).sum();
-            x[(0, idx)] = orig - eps;
-            let down: f32 = conv.forward(&x, h, w).sum();
-            x[(0, idx)] = orig;
-            let fd = (up - down) / (2.0 * eps);
-            assert!((fd - g_in[(0, idx)]).abs() < 0.05, "idx {idx}");
-        }
-    }
-
-    #[test]
-    fn pooling_averages_windows_per_channel() {
-        let pool = AvgPool2d::new(2);
-        // 2 channels of 2x2: each pools to one value.
-        let x = Matrix::from_rows(&[&[1.0, 3.0, 5.0, 7.0, 0.0, 0.0, 2.0, 2.0]]);
-        let y = pool.forward(&x, 2, 2, 2);
-        assert_eq!(y.as_slice(), &[4.0, 1.0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   reusable [`network::TrainScratch`] hot path; binary (XNOR) mode runs
 //!   its layers on packed sign bits;
 //! * [`encoding`] — the Poisson encoder;
-//! * [`optim`] — Adam and SGD;
+//! * [`optim`] — Adam;
 //! * [`data`] — deterministic synthetic stand-ins for MNIST
 //!   ([`data::synth_digits`]) and Fashion-MNIST ([`data::synth_fashion`]);
 //! * [`metrics`] — accuracy and the paper's "consistency" metric;
@@ -48,12 +48,12 @@ pub mod tensor;
 pub mod train;
 mod xnor;
 
-pub use conv::{AvgPool2d, Conv2d};
+pub use conv::Conv2d;
 pub use data::Dataset;
 pub use encoding::PoissonEncoder;
 pub use metrics::{accuracy, consistency, Evaluation};
 pub use network::{SnnMlp, TrainScratch};
-pub use neuron::{IfNeuron, LifNeuron};
+pub use neuron::IfNeuron;
 pub use optim::Adam;
 pub use tensor::Matrix;
 pub use train::{TrainConfig, TrainedSnn, Trainer};

@@ -1,4 +1,4 @@
-//! Evaluation metrics: accuracy, consistency (Table 3), confusion matrix.
+//! Evaluation metrics: accuracy and consistency (Table 3).
 
 /// The result of evaluating a model on a dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,21 +52,6 @@ pub fn consistency(a: &[usize], b: &[usize]) -> f64 {
     same as f64 / a.len() as f64
 }
 
-/// A `classes x classes` confusion matrix: `m[true][pred]` counts.
-///
-/// # Panics
-///
-/// Panics on length mismatch or a prediction/label out of range.
-pub fn confusion(predictions: &[usize], labels: &[u8], classes: usize) -> Vec<Vec<u32>> {
-    assert_eq!(predictions.len(), labels.len(), "length mismatch");
-    let mut m = vec![vec![0u32; classes]; classes];
-    for (&p, &l) in predictions.iter().zip(labels) {
-        assert!(p < classes && (l as usize) < classes, "class out of range");
-        m[l as usize][p] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,15 +78,6 @@ mod tests {
         let labels = [3u8];
         assert_eq!(consistency(&preds_a, &preds_b), 1.0);
         assert_eq!(accuracy(&preds_a, &labels), 0.0);
-    }
-
-    #[test]
-    fn confusion_diagonal_for_perfect_predictions() {
-        let m = confusion(&[0, 1, 2, 1], &[0, 1, 2, 1], 3);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][1], 2);
-        assert_eq!(m[2][2], 1);
-        assert_eq!(m[0][1], 0);
     }
 
     #[test]

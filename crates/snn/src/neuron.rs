@@ -151,97 +151,6 @@ impl Default for IfNeuron {
     }
 }
 
-/// A leaky Integrate-and-Fire neuron (SpikingJelly's LIFNode with
-/// `decay_input = False`): charging follows
-/// `H[t] = V[t-1] + X[t] - (V[t-1] - V_reset) / tau`, the membrane leaking
-/// toward the reset potential between inputs. As `tau -> inf` it
-/// approaches the IF neuron.
-///
-/// The paper deploys IF; LIF is provided for the framework's completeness
-/// and future-work experiments.
-///
-/// # Examples
-///
-/// ```
-/// use sushi_snn::neuron::LifNeuron;
-/// use sushi_snn::Matrix;
-///
-/// let lif = LifNeuron::new(1.0, 0.0, 2.0);
-/// let mut v = Matrix::zeros(1, 1);
-/// lif.step(&mut v, &Matrix::from_rows(&[&[0.6]]));
-/// assert!((v.as_slice()[0] - 0.6).abs() < 1e-6);
-/// // No drive: the membrane leaks halfway back toward reset.
-/// lif.step(&mut v, &Matrix::zeros(1, 1));
-/// assert!((v.as_slice()[0] - 0.3).abs() < 1e-6);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LifNeuron {
-    threshold: f32,
-    reset: f32,
-    tau: f32,
-}
-
-impl LifNeuron {
-    /// A LIF layer with firing `threshold`, reset potential `reset` and
-    /// membrane time constant `tau` (in time steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold <= reset` or `tau < 1`.
-    pub fn new(threshold: f32, reset: f32, tau: f32) -> Self {
-        assert!(
-            threshold > reset,
-            "threshold must exceed the reset potential"
-        );
-        assert!(tau >= 1.0, "tau must be at least 1");
-        Self {
-            threshold,
-            reset,
-            tau,
-        }
-    }
-
-    /// The firing threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// The membrane time constant.
-    pub fn tau(&self) -> f32 {
-        self.tau
-    }
-
-    /// Advances one time step: leaky charge, fire, hard reset. Returns the
-    /// spike matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` and `input` shapes differ.
-    pub fn step(&self, v: &mut Matrix, input: &Matrix) -> Matrix {
-        assert_eq!(
-            (v.rows(), v.cols()),
-            (input.rows(), input.cols()),
-            "membrane/input shape mismatch"
-        );
-        let mut spikes = Matrix::zeros(v.rows(), v.cols());
-        for (i, (vv, &x)) in v
-            .as_mut_slice()
-            .iter_mut()
-            .zip(input.as_slice())
-            .enumerate()
-        {
-            let h = *vv + x - (*vv - self.reset) / self.tau;
-            if h >= self.threshold {
-                spikes.as_mut_slice()[i] = 1.0;
-                *vv = self.reset;
-            } else {
-                *vv = h;
-            }
-        }
-        spikes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,66 +227,5 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn bad_threshold_panics() {
         let _ = IfNeuron::new(0.0, 0.0);
-    }
-
-    #[test]
-    fn lif_with_huge_tau_approximates_if() {
-        let iff = IfNeuron::paper_default();
-        let lif = LifNeuron::new(1.0, 0.0, 1e7);
-        let mut v_if = Matrix::zeros(1, 3);
-        let mut v_lif = Matrix::zeros(1, 3);
-        for x in [0.3f32, 0.5, -0.2, 0.9, 0.4] {
-            let drive = Matrix::from_rows(&[&[x, x / 2.0, 2.0 * x]]);
-            let a = iff.step(&mut v_if, &drive);
-            let b = lif.step(&mut v_lif, &drive);
-            assert_eq!(a, b);
-            for (p, q) in v_if.as_slice().iter().zip(v_lif.as_slice()) {
-                assert!((p - q).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn lif_leaks_toward_reset() {
-        let lif = LifNeuron::new(1.0, 0.0, 4.0);
-        let mut v = Matrix::from_vec(1, 1, vec![0.8]);
-        let zero = Matrix::zeros(1, 1);
-        let mut prev = 0.8f32;
-        for _ in 0..5 {
-            lif.step(&mut v, &zero);
-            let now = v.as_slice()[0];
-            assert!(now < prev, "membrane must decay");
-            assert!(now > 0.0);
-            prev = now;
-        }
-    }
-
-    #[test]
-    fn lif_needs_stronger_drive_than_if() {
-        // Sub-threshold drive that IF integrates to a spike but LIF's leak
-        // holds below threshold.
-        let iff = IfNeuron::paper_default();
-        // Equilibrium V* = x * tau = 0.9 stays below threshold 1.
-        let lif = LifNeuron::new(1.0, 0.0, 3.0);
-        let drive = Matrix::from_rows(&[&[0.3f32]]);
-        let mut v_if = Matrix::zeros(1, 1);
-        let mut v_lif = Matrix::zeros(1, 1);
-        let mut if_spikes = 0.0;
-        let mut lif_spikes = 0.0;
-        for _ in 0..10 {
-            if_spikes += iff.step(&mut v_if, &drive).sum();
-            lif_spikes += lif.step(&mut v_lif, &drive).sum();
-        }
-        assert!(if_spikes > 0.0);
-        assert_eq!(
-            lif_spikes, 0.0,
-            "leak must hold 0.3 drive below threshold 1 at tau 3"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "tau")]
-    fn lif_small_tau_panics() {
-        let _ = LifNeuron::new(1.0, 0.0, 0.5);
     }
 }

@@ -1,4 +1,4 @@
-//! Optimizers: Adam (the paper's choice, lr 1e-3) and plain SGD.
+//! The optimizer: Adam, the paper's choice at lr 1e-3.
 
 use crate::tensor::Matrix;
 
@@ -114,38 +114,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent (for ablations).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr }
-    }
-
-    /// Applies one update step.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn step(&self, weights: &mut [Matrix], grads: &[Matrix]) {
-        assert_eq!(weights.len(), grads.len(), "weights/grads mismatch");
-        for (w, g) in weights.iter_mut().zip(grads) {
-            let mut delta = g.clone();
-            delta.scale(-self.lr);
-            w.add_assign(&delta);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,17 +132,6 @@ mod tests {
             "w = {}",
             w[0].as_slice()[0]
         );
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut w = vec![Matrix::zeros(1, 1)];
-        let opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            let g = vec![Matrix::from_rows(&[&[2.0 * (w[0].as_slice()[0] - 3.0)]])];
-            opt.step(&mut w, &g);
-        }
-        assert!((w[0].as_slice()[0] - 3.0).abs() < 1e-3);
     }
 
     #[test]

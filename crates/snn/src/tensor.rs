@@ -202,25 +202,6 @@ impl Matrix {
         });
     }
 
-    /// `self @ other^T` (common in backprop).
-    ///
-    /// Materializes `other^T` once and reuses the row-major kernel (and
-    /// parallel dispatch) of [`Matrix::matmul`]: the inner sweep then runs
-    /// along contiguous output rows with the sparse-row skip, instead of
-    /// the naive triple loop's strided dot products.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_t {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.matmul(&other.transpose())
-    }
-
     /// `self^T @ other` (weight-gradient accumulation).
     ///
     /// # Panics
@@ -323,36 +304,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Element-wise product, returning a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.hadamard_into(other, &mut out);
-        out
-    }
-
-    /// Element-wise product, written into `out` (reshaped, reusing its
-    /// allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "shape mismatch"
-        );
-        out.rows = self.rows;
-        out.cols = self.cols;
-        out.data.clear();
-        out.data
-            .extend(self.data.iter().zip(&other.data).map(|(a, b)| a * b));
     }
 
     /// Sum of all elements.
@@ -651,13 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_agrees_with_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]);
-        assert_eq!(a.matmul_transpose(&b), a.matmul(&b.transpose()));
-    }
-
-    #[test]
     fn transpose_matmul_agrees_with_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
@@ -703,10 +647,6 @@ mod tests {
     fn map_and_hadamard() {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]);
         assert_eq!(a.map(f32::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
-        assert_eq!(a.hadamard(&a), Matrix::from_rows(&[&[1.0, 4.0]]));
-        let mut out = Matrix::default();
-        a.hadamard_into(&a, &mut out);
-        assert_eq!(out, Matrix::from_rows(&[&[1.0, 4.0]]));
     }
 
     #[test]

@@ -86,14 +86,9 @@ proptest! {
         }
     }
 
-    /// The transpose helpers agree with explicit transposition.
+    /// The transpose helper agrees with explicit transposition.
     #[test]
-    fn transpose_helpers_agree(a in matrix(3, 5), b in matrix(4, 5), c in matrix(3, 2)) {
-        let mt = a.matmul_transpose(&b);
-        let explicit = a.matmul(&b.transpose());
-        for (x, y) in mt.as_slice().iter().zip(explicit.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
+    fn transpose_helpers_agree(a in matrix(3, 5), c in matrix(3, 2)) {
         let tm = a.transpose_matmul(&c);
         let explicit = a.transpose().matmul(&c);
         for (x, y) in tm.as_slice().iter().zip(explicit.as_slice()) {

@@ -9,7 +9,6 @@
 //! last row block.
 
 use crate::binarize::BinarizedSnn;
-use crate::packed::PackedFrames;
 use std::ops::Range;
 
 /// One tile of one layer mapped onto the chip.
@@ -129,11 +128,8 @@ impl SliceSchedule {
     /// partial sums preserved across row blocks — must agree exactly with
     /// the unsliced oracle ([`BinarizedSnn::step_scalar`]).
     ///
-    /// Each layer's input is packed once into [`PackedFrames`] words, and
-    /// each tile is evaluated against the layer's packed columns: the
-    /// slice's row range becomes a masked popcount window, so partial
-    /// sums accumulate 64 synapses per word-op while remaining exact
-    /// integers (bitwise identical to the scalar sweep).
+    /// Each tile adds the signs of its active rows' synapses to its
+    /// columns' partial sums, as the chip's NPE counters do.
     ///
     /// # Panics
     ///
@@ -147,7 +143,7 @@ impl SliceSchedule {
             self.shapes
         );
         assert_eq!(input.len(), net.input_width(), "input width mismatch");
-        let mut x = PackedFrames::from_bool_frames(input.len(), &[input]);
+        let mut x = input.to_vec();
         let mut layer_idx = 0usize;
         let mut acc: Vec<i64> = vec![0; net.layers()[0].outputs()];
         let mut out: Vec<bool> = vec![false; net.layers()[0].outputs()];
@@ -156,18 +152,16 @@ impl SliceSchedule {
                 // Advance to the next layer: its input is the previous
                 // layer's spike vector.
                 layer_idx = slice.layer;
-                x.reset(out.len());
-                x.push_frame_from_bools(&out);
+                x = out;
                 acc = vec![0; net.layers()[layer_idx].outputs()];
                 out = vec![false; net.layers()[layer_idx].outputs()];
             }
             let layer = &net.layers()[layer_idx];
-            layer.packed().accumulate_rows_into(
-                x.frame(0),
-                slice.rows.clone(),
-                slice.cols.clone(),
-                &mut acc,
-            );
+            for i in slice.rows.clone().filter(|&i| x[i]) {
+                for j in slice.cols.clone() {
+                    acc[j] += i64::from(layer.sign(i, j));
+                }
+            }
             if slice.fires {
                 for j in slice.cols.clone() {
                     out[j] = acc[j] >= layer.threshold(j);

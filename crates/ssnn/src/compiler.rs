@@ -6,7 +6,7 @@
 
 use crate::binarize::BinarizedSnn;
 use crate::bitslice::SliceSchedule;
-use crate::stateless::{ExecStats, FireSemantics, SsnnExecutor};
+use crate::stateless::{FireSemantics, SsnnExecutor};
 use sushi_snn::encoding::PoissonEncoder;
 use sushi_snn::train::TrainedSnn;
 
@@ -135,13 +135,6 @@ impl ChipProgram {
             .map(|m| m.as_slice().iter().map(|&v| v > 0.5).collect())
             .collect()
     }
-
-    /// Predicts a sample's class under hardware semantics, returning the
-    /// execution stats as well.
-    pub fn predict_sample(&self, image: &[f32], sample_id: u64) -> (usize, ExecStats) {
-        let frames = self.encode_input(image, sample_id);
-        self.executor().predict(&frames)
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +169,8 @@ mod tests {
         let float_preds = model.predict_all(&data);
         let mut agree = 0;
         for (i, img) in data.images.iter().enumerate() {
-            let (p, _) = program.predict_sample(img, i as u64);
+            let frames = program.encode_input(img, i as u64);
+            let (p, _) = program.executor().predict(&frames);
             if p == float_preds[i] {
                 agree += 1;
             }

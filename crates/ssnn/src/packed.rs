@@ -54,7 +54,6 @@
 
 use crate::backend::argmax_low;
 use crate::binarize::BinarizedSnn;
-use std::ops::Range;
 use sushi_par::{cpu_tier, fan_out, CpuTier};
 
 /// Frames per block of the per-image forward pass: the AVX-512 block
@@ -653,110 +652,6 @@ impl PackedLayer {
             }
         }
     }
-
-    /// Adds the pre-activation contribution of the `rows`/`cols` tile to
-    /// `acc` (indexed by absolute neuron id) — the packed kernel behind
-    /// [`crate::SliceSchedule::sliced_step`]. `xw` is one packed input
-    /// frame in the [`PackedFrames`] word layout. Partial words at the row
-    /// range's edges are masked, so the sweep touches exactly the tile's
-    /// synapses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges or the frame fall outside the layer.
-    pub fn accumulate_rows_into(
-        &self,
-        xw: &[u64],
-        rows: Range<usize>,
-        cols: Range<usize>,
-        acc: &mut [i64],
-    ) {
-        self.accumulate_rows_on(cpu_tier(), xw, rows, cols, acc);
-    }
-
-    /// [`Self::accumulate_rows_into`] on the widest window kernel `tier`
-    /// allows (POPCNT or portable). Panics if `tier` exceeds [`cpu_tier`].
-    fn accumulate_rows_on(
-        &self,
-        tier: CpuTier,
-        xw: &[u64],
-        rows: Range<usize>,
-        cols: Range<usize>,
-        acc: &mut [i64],
-    ) {
-        assert!(tier <= cpu_tier(), "{tier:?} exceeds the host tier");
-        assert_eq!(xw.len(), self.words, "input width mismatch");
-        assert!(rows.end <= self.inputs, "row range out of layer");
-        assert!(cols.end <= self.outputs, "column range out of layer");
-        if rows.is_empty() || cols.is_empty() {
-            return;
-        }
-        let (w0, w1) = (rows.start >> 6, (rows.end - 1) >> 6);
-        let lo_mask = !0u64 << (rows.start & 63);
-        let hi_mask = !0u64 >> (63 - ((rows.end - 1) & 63));
-        #[cfg(target_arch = "x86_64")]
-        if tier >= CpuTier::Popcnt {
-            // SAFETY: the host supports `tier` (asserted above), so POPCNT.
-            return unsafe { self.window_sweep_popcnt(xw, cols, w0, w1, lo_mask, hi_mask, acc) };
-        }
-        self.window_sweep(xw, cols, w0, w1, lo_mask, hi_mask, acc);
-    }
-
-    /// The masked popcount window behind [`Self::accumulate_rows_into`].
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn window_sweep(
-        &self,
-        xw: &[u64],
-        cols: Range<usize>,
-        w0: usize,
-        w1: usize,
-        lo_mask: u64,
-        hi_mask: u64,
-        acc: &mut [i64],
-    ) {
-        let last = w1 - w0;
-        for j in cols {
-            let base = j * self.words;
-            let conn = &self.conn[base + w0..=base + w1];
-            let pos = &self.pos[base + w0..=base + w1];
-            let mut active = 0u32;
-            let mut excit = 0u32;
-            for (k, ((&xv, &c), &p)) in xw[w0..=w1].iter().zip(conn).zip(pos).enumerate() {
-                let mut xa = xv & c;
-                if k == 0 {
-                    xa &= lo_mask;
-                }
-                if k == last {
-                    xa &= hi_mask;
-                }
-                active += xa.count_ones();
-                excit += (xa & p).count_ones();
-            }
-            acc[j] += 2 * i64::from(excit) - i64::from(active);
-        }
-    }
-
-    /// `window_sweep` compiled with the POPCNT instruction.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified `popcnt` support at runtime.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "popcnt")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn window_sweep_popcnt(
-        &self,
-        xw: &[u64],
-        cols: Range<usize>,
-        w0: usize,
-        w1: usize,
-        lo_mask: u64,
-        hi_mask: u64,
-        acc: &mut [i64],
-    ) {
-        self.window_sweep(xw, cols, w0, w1, lo_mask, hi_mask, acc);
-    }
 }
 
 /// Reusable per-thread buffers for a multi-layer packed forward pass.
@@ -1217,40 +1112,6 @@ mod tests {
         // Empty frame sequences are fine and agree too.
         assert_eq!(p.forward_counts(&[]), net.forward_counts_scalar(&[]));
         assert_eq!(p.predict(&[]), net.predict_scalar(&[]));
-    }
-
-    /// Tiles summed on every window tier equal the scalar oracle and the
-    /// full sweep on every sweep tier, also past the AVX2 sweep's flush.
-    #[test]
-    fn accumulate_rows_tiles_sum_to_full_accumulate() {
-        for (ins, seed) in [(150usize, 23u64), (8_300, 29)] {
-            let net = random_net(seed, &[(ins, 11)]);
-            let layer = &net.layers()[0];
-            let pk = layer.packed();
-            let mut st = 0x5EEDu64;
-            let bits = random_frame(&mut st, ins);
-            let frame = PackedFrames::from_bool_frames(ins, std::slice::from_ref(&bits));
-            let xw = frame.frame(0);
-            let full = layer.accumulate(&bits);
-            for tier in host_tiers() {
-                assert_eq!(accumulate_on(pk, tier, xw), full, "ins {ins} {tier:?}");
-                for tile in [1usize, 16, 64, 65, 100] {
-                    let mut acc = vec![0i64; 11];
-                    let mut r0 = 0;
-                    while r0 < ins {
-                        let r1 = (r0 + tile).min(ins);
-                        let mut c0 = 0;
-                        while c0 < 11 {
-                            let c1 = (c0 + tile).min(11);
-                            pk.accumulate_rows_on(tier, xw, r0..r1, c0..c1, &mut acc);
-                            c0 = c1;
-                        }
-                        r0 = r1;
-                    }
-                    assert_eq!(acc, full, "ins {ins} tile {tile} {tier:?}");
-                }
-            }
-        }
     }
 
     #[test]

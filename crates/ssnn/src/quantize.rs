@@ -9,6 +9,7 @@
 //! adjacent batches that pass through the same cross structure share the
 //! same weight strength" — minimising strength reloads (Section 4.2.2).
 
+use crate::backend::argmax_low;
 use crate::bucketing::inhibitory_first;
 use sushi_snn::tensor::Matrix;
 use sushi_snn::train::TrainedSnn;
@@ -242,13 +243,7 @@ impl QuantizedSnn {
 
     /// Predicted class (argmax, ties low).
     pub fn predict(&self, frames: &[Vec<bool>]) -> usize {
-        let counts = self.forward_counts(frames);
-        counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        argmax_low(&self.forward_counts(frames))
     }
 }
 

@@ -75,13 +75,6 @@ pub fn breakdown(stats: &ExecStats, parallel_neurons: usize) -> ReloadBreakdown 
     }
 }
 
-/// The naive (no reordering) reload cost: every active synapse whose sign
-/// differs from its predecessor in *input order* forces a reconfiguration;
-/// on random sign patterns that is roughly half the synops.
-pub fn naive_switches(synops: u64) -> u64 {
-    synops / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,13 +105,15 @@ mod tests {
         assert!((share - 0.20).abs() < 0.05, "share {share}");
     }
 
-    /// Without reordering, reload dominates.
+    /// Without reordering, reload dominates: on random sign patterns
+    /// about every second active synapse differs in sign from its
+    /// predecessor in input order and forces a reconfiguration.
     #[test]
     fn naive_share_dominates() {
         let synops = 160u64;
         let stats = ExecStats {
             synops,
-            polarity_switches: naive_switches(synops),
+            polarity_switches: synops / 2,
             ..Default::default()
         };
         let share = breakdown(&stats, 1).reload_share();

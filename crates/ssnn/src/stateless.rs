@@ -13,6 +13,7 @@
 //! The gap between the two semantics — controlled by the synapse order —
 //! is precisely what Section 5.1's bucketing/reordering algorithm manages.
 
+use crate::backend::argmax_low;
 use crate::binarize::BinarizedSnn;
 use crate::bucketing::bucketed_order;
 
@@ -234,13 +235,7 @@ impl<'a> SsnnExecutor<'a> {
     /// Predicted class (argmax, ties to the lowest index) plus stats.
     pub fn predict(&self, frames: &[Vec<bool>]) -> (usize, ExecStats) {
         let (counts, stats) = self.forward_counts(frames);
-        let best = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("at least one class");
-        (best, stats)
+        (argmax_low(&counts), stats)
     }
 }
 

@@ -63,6 +63,46 @@ if [[ -n "$lookups" ]]; then
   exit 1
 fi
 
+echo "==> docs name only items that exist (sushi-<crate>:: paths)"
+# Every backticked `sushi-<crate>::a::b` (or `sushi_<crate>::a::b`) path
+# in DESIGN.md and README.md must resolve segment by segment: each
+# segment after the crate is declared in crates/<crate>/src as a mod,
+# fn, struct, enum, trait, type, const or static, or is named by a
+# `pub use`. Brace groups expand first; a trailing `()` is dropped.
+expand_braces() {
+  if [[ "$1" =~ ^([^{]*)\{([^{}]*)\}(.*)$ ]]; then
+    local pre="${BASH_REMATCH[1]}" post="${BASH_REMATCH[3]}" alt
+    local -a alts
+    IFS=, read -ra alts <<<"${BASH_REMATCH[2]}"
+    for alt in "${alts[@]}"; do
+      expand_braces "$pre${alt// /}$post"
+    done
+  else
+    echo "${1%()}"
+  fi
+}
+stale=""
+while read -r doc_path; do
+  while read -r path; do
+    crate="${path%%::*}"
+    src="crates/${crate#sushi?}/src"
+    rest="${path#*::}"
+    for seg in ${rest//::/ }; do
+      if [[ ! -d "$src" || ! "$seg" =~ ^[A-Za-z_][A-Za-z0-9_]*$ ]] ||
+        ! { grep -rqE --include='*.rs' \
+              "\b(mod|fn|struct|enum|trait|type|const|static)\s+${seg}\b" "$src" ||
+            grep -rqzE --include='*.rs' "pub use [^;]*\b${seg}\b" "$src"; }; then
+        stale+="  \`$doc_path\`: no \`$seg\` in $src"$'\n'
+      fi
+    done
+  done < <(expand_braces "$doc_path")
+done < <(grep -ohE '`sushi[-_][a-z]+::[^`]*`' DESIGN.md README.md | tr -d '`' | sort -u)
+if [[ -n "$stale" ]]; then
+  echo "docs name items that do not exist:"
+  printf '%s' "$stale"
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
