@@ -18,7 +18,7 @@ use sushi_snn::data::Dataset;
 use sushi_snn::metrics::accuracy;
 use sushi_ssnn::reload::{breakdown, ReloadBreakdown};
 use sushi_ssnn::stateless::ExecStats;
-use sushi_ssnn::{argmax_low, ChipProgram};
+use sushi_ssnn::{argmax_low, ChipProgram, SsnnExecutor};
 
 /// Result of one inference on the chip.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +94,17 @@ impl SushiChip {
         sample_id: u64,
     ) -> InferenceOutcome {
         self.check_program(program);
+        Self::sample_on(&program.executor(), program, image, sample_id)
+    }
+
+    /// Runs one sample through `exec`, an executor built from `program`.
+    fn sample_on(
+        exec: &SsnnExecutor<'_>,
+        program: &ChipProgram,
+        image: &[f32],
+        sample_id: u64,
+    ) -> InferenceOutcome {
         let frames = program.encode_input(image, sample_id);
-        let exec = program.executor();
         let (counts, stats) = exec.forward_counts(&frames);
         let prediction = argmax_low(&counts);
         InferenceOutcome {
@@ -125,13 +134,16 @@ impl SushiChip {
     ) -> ChipEvaluation {
         self.check_program(program);
         let t0 = Instant::now();
+        // The executor's visit orders depend on the program alone: build
+        // them once and share them across the workers.
+        let exec = program.executor();
         let mut slots: Vec<Option<InferenceOutcome>> = vec![None; data.len()];
         // Per worker: samples run and busy wall seconds.
         let chunks = fan_out(&mut slots, opts.resolve_workers(), 1, |r, out| {
             let w0 = Instant::now();
             for ((i, img), slot) in r.clone().zip(&data.images[r.clone()]).zip(out) {
                 let sample_id = opts.seed.wrapping_add(i as u64);
-                *slot = Some(self.run_sample(program, img, sample_id));
+                *slot = Some(Self::sample_on(&exec, program, img, sample_id));
             }
             (r.len(), w0.elapsed().as_secs_f64())
         });

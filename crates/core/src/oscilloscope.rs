@@ -79,17 +79,6 @@ impl Oscilloscope {
     pub fn traces_match(&self, sim: &PulseTrain, chip: &PulseTrain, end_ps: Ps) -> bool {
         self.sample(sim, end_ps) == self.sample(chip, end_ps)
     }
-
-    /// Inference result from per-label spike counts (argmax; ties to the
-    /// lowest label, matching the executors).
-    pub fn infer(counts: &[usize]) -> usize {
-        counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("at least one label")
-    }
 }
 
 impl Default for Oscilloscope {
@@ -137,12 +126,6 @@ mod tests {
         assert!(osc.traces_match(&sim, &chip, 400.0));
         let wrong = PulseTrain::from_times(vec![130.0]);
         assert!(!osc.traces_match(&sim, &wrong, 400.0));
-    }
-
-    #[test]
-    fn infer_is_argmax_with_low_tie() {
-        assert_eq!(Oscilloscope::infer(&[0, 4, 2]), 1);
-        assert_eq!(Oscilloscope::infer(&[3, 3]), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::event::Event;
 use crate::netlist::{CellId, Netlist, PortRef, Wire};
 use crate::observe::SimObserver;
-use crate::partition::{DeliveryRecord, Routing};
+use crate::partition::{Routing, ViolationSpan};
 use crate::queue::CalendarQueue;
 use crate::state::{CellState, LogicalIssue};
 use std::collections::BTreeMap;
@@ -361,7 +361,7 @@ pub struct Simulator<'a> {
     /// Optional instrumentation hooks. None = zero-cost (one predictable
     /// branch per event).
     pub(crate) observer: Option<Box<dyn SimObserver>>,
-    /// Cross-partition event routing and the delivery log backing the
+    /// Cross-partition event routing and the violation spans backing the
     /// deterministic merge; `Some` only while a partition worker drives
     /// this simulator (see [`crate::partition`]).
     pub(crate) routing: Option<Box<Routing>>,
@@ -582,19 +582,6 @@ impl<'a> Simulator<'a> {
         let fault = self.faults[ci];
         self.raw.events_delivered += 1;
         if fault == Some(Fault::IgnoreInput) {
-            let vio = self.violations.len() as u32;
-            if let Some(r) = self.routing.as_mut() {
-                r.log.push(DeliveryRecord {
-                    time: ev.time,
-                    key: ev.seq,
-                    cell: cell_id,
-                    kind,
-                    vio_start: vio,
-                    vio_end: vio,
-                    emit_time: 0.0,
-                    emit_count: 0,
-                });
-            }
             return;
         }
         self.raw.final_time_ps = self.raw.final_time_ps.max(ev.time);
@@ -635,8 +622,18 @@ impl<'a> Simulator<'a> {
                 obs.on_violation(v);
             }
         }
-        let mut emit_time = 0.0;
-        let mut emit_count = 0u8;
+        // A partition worker notes where this delivery's violations sit,
+        // for the merge into sequential order.
+        if self.violations.len() > vstart {
+            if let Some(r) = self.routing.as_mut() {
+                r.violated.push(ViolationSpan {
+                    time: ev.time,
+                    key: ev.seq,
+                    start: vstart as u32,
+                    end: self.violations.len() as u32,
+                });
+            }
+        }
         if fault != Some(Fault::DropOutput) {
             let mut delay = self.delay_by_kind[kind.index()];
             if let Some(j) = &self.jitter {
@@ -647,8 +644,7 @@ impl<'a> Simulator<'a> {
             }
             for out_port in response.emitted() {
                 self.raw.pulses_emitted += 1;
-                emit_time = ev.time + delay;
-                emit_count += 1;
+                let emit_time = ev.time + delay;
                 if let Some(obs) = self.observer.as_mut() {
                     obs.on_emit(cell_id, kind, emit_time);
                 }
@@ -678,19 +674,6 @@ impl<'a> Simulator<'a> {
                     self.raw.pulses_dropped += 1;
                 }
             }
-        }
-        let vio_end = self.violations.len() as u32;
-        if let Some(r) = self.routing.as_mut() {
-            r.log.push(DeliveryRecord {
-                time: ev.time,
-                key: ev.seq,
-                cell: cell_id,
-                kind,
-                vio_start: vstart as u32,
-                vio_end,
-                emit_time,
-                emit_count,
-            });
         }
     }
 

@@ -60,12 +60,13 @@ use sushi_cells::{CellKind, CellLibrary, Ps};
 /// cloneable and let callers recover the concrete observer after a run via
 /// [`Simulator::take_observer_as`](crate::Simulator::take_observer_as).
 ///
-/// Observers are `Send` so a simulator can cross into the partitioned
-/// parallel runner
-/// ([`Simulator::run_partitioned`](crate::Simulator::run_partitioned)),
-/// and `Sync` so batch workers can share one [`SimConfig`](crate::SimConfig);
-/// hooks still only ever fire from one thread at a time, in exact
-/// sequential order.
+/// Observers are `Send` because a simulator holds one and the partitioned
+/// runner's workers
+/// ([`Simulator::run_partitioned`](crate::Simulator::run_partitioned))
+/// are simulator clones moved to threads, and `Sync` so batch workers can
+/// share one [`SimConfig`](crate::SimConfig). `run_partitioned` runs a
+/// simulator with an observer attached on the sequential engine, so hooks
+/// only ever fire from one thread at a time, in exact sequential order.
 pub trait SimObserver: fmt::Debug + Send + Sync {
     /// Pulses were scheduled on the named external input.
     fn on_inject(&mut self, input: &str, times: &[Ps]) {

@@ -66,15 +66,20 @@ fn segmented_netlist(segments: usize, stages: usize, link_ps: Ps, stateful: bool
 }
 
 /// Runs one simulation to completion and returns everything observable:
-/// the outcome (traces, violations, stats) and the full observer stream.
+/// the outcome (traces, violations, stats) and, when `observe` attaches a
+/// tracer, the full observer stream.
 fn run_once(
     netlist: &Netlist,
     library: &CellLibrary,
     jitter: Option<u64>,
     pulses: &[Ps],
     partitions: Option<usize>,
-) -> (SimOutcome, RingTracer) {
-    let mut cfg = SimConfig::new().observer(RingTracer::new(1 << 14));
+    observe: bool,
+) -> (SimOutcome, Option<RingTracer>) {
+    let mut cfg = SimConfig::new();
+    if observe {
+        cfg = cfg.observer(RingTracer::new(1 << 14));
+    }
     if let Some(seed) = jitter {
         cfg = cfg.jitter(seed, 2.0);
     }
@@ -84,7 +89,7 @@ fn run_once(
         Some(k) => sim.run_partitioned(k).unwrap(),
         None => sim.run_to_completion().unwrap(),
     }
-    let tracer = sim.take_observer_as::<RingTracer>().unwrap();
+    let tracer = sim.take_observer_as::<RingTracer>();
     (sim.take_outcome(), tracer)
 }
 
@@ -388,8 +393,9 @@ proptest! {
     /// The partitioned engine is invisible to results: for random
     /// segmented netlists, stimulus (including violation-provoking
     /// spacings), and jitter seeds, `run_partitioned(k)` reproduces the
-    /// sequential run bitwise — traces, violations, stats, and the full
-    /// observer event stream — for k in {1, 2, 4, 7}.
+    /// sequential run bitwise — traces, violations, stats — for k in
+    /// {1, 2, 4, 7}, with no observer attached so its workers run; with a
+    /// tracer attached it also reproduces the full observer event stream.
     #[test]
     fn partitioned_runs_match_sequential_bitwise(
         segments in 2usize..5,
@@ -401,10 +407,12 @@ proptest! {
     ) {
         let n = segmented_netlist(segments, stages, link, stateful);
         let lib = CellLibrary::nb03();
-        let (seq_out, seq_trace) = run_once(&n, &lib, jitter, &pulses, None);
+        let (seq_out, seq_trace) = run_once(&n, &lib, jitter, &pulses, None, true);
         for k in [1usize, 2, 4, 7] {
-            let (out, trace) = run_once(&n, &lib, jitter, &pulses, Some(k));
+            let (out, _) = run_once(&n, &lib, jitter, &pulses, Some(k), false);
             prop_assert_eq!(&out, &seq_out, "outcome diverged at k={}", k);
+            let (out, trace) = run_once(&n, &lib, jitter, &pulses, Some(k), true);
+            prop_assert_eq!(&out, &seq_out, "observed outcome diverged at k={}", k);
             prop_assert_eq!(&trace, &seq_trace, "observer stream diverged at k={}", k);
         }
     }

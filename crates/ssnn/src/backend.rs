@@ -177,6 +177,12 @@ mod tests {
     }
 
     #[test]
+    fn argmax_low_breaks_ties_to_the_lowest_index() {
+        assert_eq!(super::argmax_low(&[0, 4, 2]), 1);
+        assert_eq!(super::argmax_low(&[3, 3]), 0);
+    }
+
+    #[test]
     fn binarized_snn_implements_the_trait_directly() {
         let (net, packed) = fixture();
         let data = items(0xB0B, 9);
