@@ -108,6 +108,7 @@ fn batched_verification_stays_within_its_allocation_budget() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let run = chip.run_column_blocks(&layer, &jobs, &opts).unwrap();
     let per_job = (ALLOCATIONS.load(Ordering::Relaxed) - before) / jobs.len() as u64;
+    eprintln!("{per_job} allocations per job, budget {BUDGET_PER_JOB}");
 
     assert_eq!(
         run.results, warm.results,

@@ -496,6 +496,15 @@ impl<'a> Simulator<'a> {
 
     /// Schedules pulses on the named external input.
     ///
+    /// Times may come in any order. Each pulse's tie-break key is assigned
+    /// here, in slice order, so the delivery order does not depend on when
+    /// the queue takes the pulse in: the pulses wait in the queue's
+    /// reserve and enter its calendar only when the window reaches their
+    /// time, which keeps the calendar sized by the pulses in flight rather
+    /// than by the length of the stimulus. A pulse injected in the
+    /// simulated past (behind the last delivery) is delivered next, at its
+    /// own time.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownInput`] if `name` was never registered,
@@ -520,7 +529,7 @@ impl<'a> Simulator<'a> {
         for &t in times {
             let key = slot_base | u64::from(self.inject_seq[chan]);
             self.inject_seq[chan] += 1;
-            self.queue.push(Event::new(t, key, target));
+            self.queue.stage(Event::new(t, key, target));
         }
         // An empty inject schedules nothing: marking the run active anyway
         // would make the next drain fire `on_run_end` for a phantom run.
@@ -979,6 +988,48 @@ mod tests {
             .flat_map(|t| [t, t + hop])
             .collect();
         assert_eq!(delivered, want);
+    }
+
+    /// `inject` takes times in any order. One call stages a descending
+    /// slice longer than the calendar's window, a second channel shares
+    /// every one of its times, and the deliveries still come in ascending
+    /// time with ties broken by channel (`a` before `b`). The outcome is
+    /// the one an ascending injection of the same pulses gives.
+    #[test]
+    fn descending_and_equal_time_injections_deliver_in_time_then_channel_order() {
+        use crate::observe::{RingTracer, TraceKind};
+        let mut n = Netlist::new();
+        let a = n.add_cell(CellKind::Jtl, "a");
+        let b = n.add_cell(CellKind::Jtl, "b");
+        n.add_input("a", a, Din).unwrap();
+        n.add_input("b", b, Din).unwrap();
+        n.probe("out_a", a, Dout).unwrap();
+        n.probe("out_b", b, Dout).unwrap();
+        let l = lib();
+        let ascending: Vec<Ps> = (1..=600).map(|i| 40.0 * i as Ps).collect();
+        let descending: Vec<Ps> = ascending.iter().rev().copied().collect();
+        let run = |a_times: &[Ps]| {
+            let mut sim = SimConfig::new()
+                .observer(RingTracer::new(4096))
+                .build(&n, &l);
+            sim.inject("a", a_times).unwrap();
+            sim.inject("b", &ascending).unwrap();
+            sim.run_to_completion().unwrap();
+            let tracer: RingTracer = sim.take_observer_as().unwrap();
+            let delivered: Vec<(CellId, Ps)> = tracer
+                .events()
+                .filter_map(|e| match e.what {
+                    TraceKind::Deliver { cell, .. } => Some((cell, e.time)),
+                    _ => None,
+                })
+                .collect();
+            (sim.take_outcome(), delivered)
+        };
+        let (outcome, delivered) = run(&descending);
+        let want: Vec<(CellId, Ps)> = ascending.iter().flat_map(|&t| [(a, t), (b, t)]).collect();
+        assert_eq!(delivered, want);
+        assert_eq!(outcome.pulses("out_a").len(), 600);
+        assert_eq!(outcome, run(&ascending).0);
     }
 
     #[test]

@@ -353,6 +353,10 @@ impl<'a> Simulator<'a> {
         let parts_n = plan.parts as usize;
         let part_of = Arc::new(plan.part_of.clone());
 
+        // Take the pending events out before cloning, so no worker
+        // carries a copy of them (or of their allocations).
+        let mut pending = std::mem::take(&mut self.queue);
+
         // Per-partition workers: full-size clones whose result
         // accumulators start empty. Each worker only delivers events
         // targeting its own cells, so the clones' mutable state is
@@ -366,7 +370,6 @@ impl<'a> Simulator<'a> {
                     outbox: Vec::new(),
                     violated: Vec::new(),
                 }));
-                w.queue.clear();
                 for t in w.probe_traces.iter_mut() {
                     t.clear();
                 }
@@ -376,11 +379,19 @@ impl<'a> Simulator<'a> {
             })
             .collect();
 
-        // Distribute the pending events to their owning partitions.
-        while let Some(ev) = self.queue.pop() {
+        // Distribute the pending events to their owning partitions: the
+        // staged stimulus into each owner's reserve, run by run, so every
+        // run stays ascending; then the calendar's own events by push.
+        pending.drain_staged(|ev| {
+            let p = part_of[ev.target.cell.index()] as usize;
+            workers[p].queue.stage(ev);
+        });
+        while let Some(ev) = pending.pop() {
             let p = part_of[ev.target.cell.index()] as usize;
             workers[p].queue.push(ev);
         }
+        // The workers hold every pending event now; free the reserve.
+        drop(pending);
 
         let shared = Shared {
             part_of: &part_of,

@@ -8,6 +8,16 @@
 //! and the window is rebuilt (re-tuned to the pending-event density) once
 //! drained. Pops then cost `O(1)` amortised.
 //!
+//! **Staged stimulus.** A run's stimulus is known up front and can be far
+//! longer than what is in flight at any moment. [`Simulator::inject`]
+//! therefore *stages* its pulses in a reserve instead of pushing them,
+//! keeping each call's train as an ascending run, so the reserve never
+//! sorts. Each rebuild tunes the new window to the next 256 pending
+//! events (one per bucket) — the overflow bin plus an even share of each
+//! run's leading events — and admits only the staged events that window
+//! covers. The calendar thus holds the events in flight plus about one
+//! window of stimulus, however long the stimulus.
+//!
 //! **Determinism contract.** The simulator's results are defined by the
 //! total order in which events are delivered: earliest `time` first,
 //! ties broken by ascending `seq` (scheduling order). [`CalendarQueue`]
@@ -15,10 +25,15 @@
 //! when the drain cursor enters them, and pushes that land at or before
 //! the cursor are insertion-sorted into the live bucket no earlier than
 //! the cursor itself (an event scheduled in the past is delivered next,
-//! matching `BinaryHeap` semantics). A property test in
-//! `tests/properties.rs` checks pop-order equivalence against
-//! `BinaryHeap<Event>` on random schedules, including equal-time bursts
-//! and far-future overflow events.
+//! matching `BinaryHeap` semantics). Staged events wait only while they
+//! lie at or beyond the window's end, like the overflow bin's, so the
+//! reserve cannot change the order either; one the live window already
+//! covers is pushed at once. Property tests in `tests/properties.rs`
+//! check pop-order equivalence against `BinaryHeap<Event>` on random
+//! schedules, including equal-time bursts and far-future overflow events,
+//! and this module's tests do the same with staged trains mixed in.
+//!
+//! [`Simulator::inject`]: crate::Simulator::inject
 
 use crate::event::Event;
 use std::cmp::Ordering;
@@ -70,8 +85,23 @@ pub struct CalendarQueue {
     in_window: usize,
     /// Events at or beyond the window's end, unsorted until a rebuild.
     overflow: Vec<Event>,
-    /// Total undelivered events.
+    /// The reserve: staged events, read through `runs`.
+    staged: Vec<Event>,
+    /// The staged events not yet admitted to the window, as ascending runs
+    /// over `staged`; once a window exists, all lie at or beyond its end.
+    runs: Vec<Run>,
+    /// Scratch for a rebuild: the runs' leading event times.
+    lead: Vec<f64>,
+    /// Total undelivered events, staged ones included.
     len: usize,
+}
+
+/// One staged train still waiting: `staged[next..end]`, ascending in
+/// `(time, seq)`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    next: usize,
+    end: usize,
 }
 
 impl Default for CalendarQueue {
@@ -91,6 +121,9 @@ impl CalendarQueue {
             width: 0.0,
             in_window: 0,
             overflow: Vec::new(),
+            staged: Vec::new(),
+            runs: Vec::new(),
+            lead: Vec::new(),
             len: 0,
         }
     }
@@ -105,14 +138,18 @@ impl CalendarQueue {
         self.len == 0
     }
 
-    /// Removes all pending events and forgets the current window tuning,
-    /// keeping allocations for reuse. A cleared queue behaves identically
-    /// to a fresh one (this backs `Simulator::reset` determinism).
+    /// Removes all pending events, staged ones included, and forgets the
+    /// current window tuning, keeping allocations for reuse: the buckets',
+    /// the overflow bin's and the reserve's. A cleared queue behaves
+    /// identically to a fresh one (this backs `Simulator::reset`
+    /// determinism).
     pub fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
         }
         self.overflow.clear();
+        self.staged.clear();
+        self.runs.clear();
         self.cur_bucket = 0;
         self.cur_pos = 0;
         self.window_start = 0.0;
@@ -125,7 +162,7 @@ impl CalendarQueue {
     pub fn push(&mut self, ev: Event) {
         self.len += 1;
         if self.width <= 0.0 {
-            // No window yet (fresh/cleared queue): stage everything in
+            // No window yet (fresh/cleared queue): park everything in
             // overflow; the first pop builds a window tuned to the lot.
             self.overflow.push(ev);
             return;
@@ -155,6 +192,49 @@ impl CalendarQueue {
             self.buckets[idx].push(ev);
         }
         self.in_window += 1;
+    }
+
+    /// Stages an event in the reserve, to be admitted by the first rebuild
+    /// whose window covers its time. An event the current window already
+    /// covers (one in the simulated past included) is pushed at once, so
+    /// staging delivers in exactly the order [`CalendarQueue::push`] does.
+    /// Consecutive events that ascend in `(time, seq)` extend one run, so
+    /// staging each input's train in order never needs a sort.
+    pub(crate) fn stage(&mut self, ev: Event) {
+        if self.width > 0.0 && ev.time - self.window_start < self.width * NUM_BUCKETS as f64 {
+            self.push(ev);
+            return;
+        }
+        if self.runs.is_empty() {
+            self.staged.clear();
+        }
+        let end = self.staged.len();
+        match self.runs.last_mut() {
+            Some(run)
+                if run.end == end
+                    && delivery_order(&self.staged[end - 1], &ev) == Ordering::Less =>
+            {
+                run.end += 1;
+            }
+            _ => self.runs.push(Run {
+                next: end,
+                end: end + 1,
+            }),
+        }
+        self.staged.push(ev);
+        self.len += 1;
+    }
+
+    /// Removes the staged events not yet admitted, handing each run's
+    /// events to `f` in order; the calendar's own events stay.
+    pub(crate) fn drain_staged(&mut self, mut f: impl FnMut(Event)) {
+        for run in self.runs.drain(..) {
+            self.len -= run.end - run.next;
+            for &ev in &self.staged[run.next..run.end] {
+                f(ev);
+            }
+        }
+        self.staged.clear();
     }
 
     /// The earliest pending event's time, if any.
@@ -199,22 +279,44 @@ impl CalendarQueue {
         }
     }
 
-    /// Builds a fresh window from the overflow bin, re-tuned so pending
-    /// events spread at roughly one per bucket. Requires every pending
-    /// event to currently sit in `overflow` (i.e. `in_window == 0`).
+    /// Builds a fresh window from the overflow bin and the heads of the
+    /// staged runs, re-tuned so the next `NUM_BUCKETS` pending events spread
+    /// at roughly one per bucket, and admits the staged events it covers.
+    /// Requires every pending event to sit in `overflow` or the reserve
+    /// (i.e. `in_window == 0`).
     fn rebuild(&mut self) {
-        debug_assert_eq!(self.overflow.len(), self.len);
+        debug_assert_eq!(
+            self.overflow.len() + self.runs.iter().map(|r| r.end - r.next).sum::<usize>(),
+            self.len
+        );
         let mut tmin = f64::INFINITY;
         let mut tmax = f64::NEG_INFINITY;
         for ev in &self.overflow {
             tmin = tmin.min(ev.time);
             tmax = tmax.max(ev.time);
         }
+        // The staged events fill the buckets the overflow bin leaves free.
+        // Each run's head bounds the window's start; the far edge reaches
+        // the `free`-th earliest of the runs' leading events, an even share
+        // per run, so one late train cannot stretch the window.
+        let free = NUM_BUCKETS.saturating_sub(self.overflow.len());
+        let share = free.div_ceil(self.runs.len().max(1)).max(1);
+        self.lead.clear();
+        for run in &self.runs {
+            let lead = &self.staged[run.next..run.end.min(run.next + share)];
+            tmin = tmin.min(lead[0].time);
+            self.lead.extend(lead.iter().map(|ev| ev.time));
+        }
+        let picked = free.min(self.lead.len());
+        if picked > 0 {
+            let (_, edge, _) = self.lead.select_nth_unstable_by(picked - 1, f64::total_cmp);
+            tmax = tmax.max(*edge);
+        }
         let span = tmax - tmin;
         // Width such that the window covers the whole span (the `1 + ε`
         // headroom keeps `tmax` strictly inside) at ~1 event per bucket;
         // a degenerate all-equal-times bin gets an arbitrary width.
-        let n = self.overflow.len().clamp(1, NUM_BUCKETS);
+        let n = (self.overflow.len() + picked).clamp(1, NUM_BUCKETS);
         self.width = if span > 0.0 {
             (span / n as f64) * (1.0 + 1e-12)
         } else {
@@ -223,22 +325,34 @@ impl CalendarQueue {
         self.window_start = tmin;
         self.cur_bucket = 0;
         self.cur_pos = 0;
-        self.in_window = 0;
         for b in &mut self.buckets {
             b.clear();
         }
-        let window_end = self.width * NUM_BUCKETS as f64;
-        let pending = std::mem::take(&mut self.overflow);
-        for ev in pending {
-            let rel = ev.time - self.window_start;
-            if rel >= window_end {
-                self.overflow.push(ev);
-            } else {
-                let idx = ((rel / self.width) as usize).min(NUM_BUCKETS - 1);
-                self.buckets[idx].push(ev);
-                self.in_window += 1;
+        let (start, width) = (self.window_start, self.width);
+        let window_end = width * NUM_BUCKETS as f64;
+        let buckets = &mut self.buckets;
+        let mut place = |ev: Event| {
+            let rel = ev.time - start;
+            let covered = rel < window_end;
+            if covered {
+                buckets[((rel / width) as usize).min(NUM_BUCKETS - 1)].push(ev);
             }
+            covered
+        };
+        let waiting = self.overflow.len();
+        self.overflow.retain(|&ev| !place(ev));
+        let mut admitted = waiting - self.overflow.len();
+        // A run ascends, so the events the window covers are a prefix.
+        for run in &mut self.runs {
+            let covered = self.staged[run.next..run.end]
+                .iter()
+                .take_while(|&&ev| place(ev))
+                .count();
+            run.next += covered;
+            admitted += covered;
         }
+        self.runs.retain(|run| run.next < run.end);
+        self.in_window = admitted;
         // `tmin` always lands in bucket 0, so the new window is non-empty.
         self.buckets[0].sort_unstable_by(delivery_order);
     }
@@ -248,6 +362,8 @@ impl CalendarQueue {
 mod tests {
     use super::*;
     use crate::netlist::{CellId, PortRef};
+    use proptest::prelude::*;
+    use std::collections::BinaryHeap;
     use sushi_cells::PortName;
 
     fn ev(t: f64, seq: u64) -> Event {
@@ -365,5 +481,110 @@ mod tests {
         let order = drain(&mut q);
         assert_eq!(order.len(), 100);
         assert!(order.windows(2).all(|w| w[0].1 < w[1].1));
+    }
+
+    /// Stages `len` events of source `slot` on both queues: an ascending
+    /// train from `start`, `gap` quarter-ps apart, keyed like the engine's
+    /// provenance keys (`slot << 32 | ordinal`).
+    fn stage_train(
+        cal: &mut CalendarQueue,
+        heap: &mut BinaryHeap<Event>,
+        (slot, ordinal): (u64, &mut u32),
+        start: f64,
+        (len, gap): (usize, u64),
+    ) {
+        for i in 0..len as u64 {
+            let e = ev(
+                start + (i * gap) as f64 * 0.25,
+                (slot << 32) | u64::from(*ordinal),
+            );
+            *ordinal += 1;
+            cal.stage(e);
+            heap.push(e);
+        }
+    }
+
+    proptest! {
+        /// The admission path against the `BinaryHeap` oracle. Several
+        /// sources stage ascending trains of 0-600 events (more than the
+        /// 256 buckets) that meet at equal times; then random operations
+        /// interleave pops, cascade pushes near the cursor, behind it and
+        /// 1e6 ps ahead, drains to a horizon, trains staged mid-run, and
+        /// `clear()`s followed by fresh trains (the `Simulator::reset`
+        /// path). Every pop and every `len()` must match the heap's.
+        #[test]
+        fn staged_trains_match_binary_heap_order(
+            trains in prop::collection::vec((0usize..600, 1u64..8), 1..5),
+            codes in prop::collection::vec(0u64..u64::MAX, 1..800),
+        ) {
+            let mut heap: BinaryHeap<Event> = BinaryHeap::new();
+            let mut cal = CalendarQueue::new();
+            // One ordinal per source, plus one for the cascade pushes.
+            let cascade = trains.len();
+            let mut ordinals = vec![0u32; cascade + 1];
+            for (slot, &train) in trains.iter().enumerate() {
+                stage_train(&mut cal, &mut heap, (slot as u64, &mut ordinals[slot]), 0.0, train);
+            }
+            let mut now = 0.0f64;
+            for code in codes {
+                let offset = ((code >> 4) % 256) as f64 * 0.25;
+                let push_at = match code % 16 {
+                    0..=2 => Some(now + offset),
+                    3 => Some(now - offset),
+                    4 => Some(now + 1.0e6 + offset),
+                    _ => None,
+                };
+                if let Some(t) = push_at {
+                    let e = ev(t, ((cascade as u64) << 32) | u64::from(ordinals[cascade]));
+                    ordinals[cascade] += 1;
+                    cal.push(e);
+                    heap.push(e);
+                } else if code % 16 == 5 {
+                    // Drain strictly below a horizon, like a partition
+                    // worker's window loop.
+                    let horizon = now + offset;
+                    while heap.peek().is_some_and(|e| e.time < horizon) {
+                        let e = heap.pop().unwrap();
+                        prop_assert!(cal.peek_time().is_some_and(|t| t < horizon));
+                        let g = cal.pop().unwrap();
+                        prop_assert_eq!((e.time, e.seq), (g.time, g.seq));
+                        now = e.time;
+                    }
+                    prop_assert!(!cal.peek_time().is_some_and(|t| t < horizon));
+                } else if code % 16 == 6 {
+                    // An inject between runs: a source's next train, from
+                    // a little behind the cursor.
+                    let slot = (code >> 12) as usize % cascade;
+                    let train = trains[slot];
+                    stage_train(&mut cal, &mut heap, (slot as u64, &mut ordinals[slot]), now - 8.0 + offset, train);
+                } else if code % 16 == 7 {
+                    heap.clear();
+                    cal.clear();
+                    ordinals.fill(0);
+                    now = 0.0;
+                    for (slot, &train) in trains.iter().enumerate() {
+                        stage_train(&mut cal, &mut heap, (slot as u64, &mut ordinals[slot]), 0.0, train);
+                    }
+                } else {
+                    let expect = heap.pop();
+                    let got = cal.pop();
+                    match (expect, got) {
+                        (None, None) => {}
+                        (Some(e), Some(g)) => {
+                            prop_assert_eq!((e.time, e.seq), (g.time, g.seq));
+                            now = e.time;
+                        }
+                        (e, g) => prop_assert!(false, "heap {:?} vs calendar {:?}", e, g),
+                    }
+                }
+                prop_assert_eq!(cal.len(), heap.len());
+            }
+            while let Some(e) = heap.pop() {
+                let g = cal.pop();
+                prop_assert_eq!(Some((e.time, e.seq)), g.map(|g| (g.time, g.seq)));
+                prop_assert_eq!(cal.len(), heap.len());
+            }
+            prop_assert!(cal.is_empty());
+        }
     }
 }

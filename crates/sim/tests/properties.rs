@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use sushi_cells::{CellKind, CellLibrary, PortName, Ps};
 use sushi_sim::event::Event;
 use sushi_sim::{
@@ -24,8 +25,8 @@ fn safe_train(max_len: usize) -> impl Strategy<Value = Vec<Ps>> {
 
 /// Strategy: a pulse train tight enough to provoke hold/setup violations
 /// in JTL/TFFL pipelines, so equality checks cover the violation path too.
-fn tight_train(max_len: usize) -> impl Strategy<Value = Vec<Ps>> {
-    prop::collection::vec(8.0..60.0f64, 1..max_len).prop_map(|gaps| {
+fn tight_train(len: Range<usize>) -> impl Strategy<Value = Vec<Ps>> {
+    prop::collection::vec(8.0..60.0f64, len).prop_map(|gaps| {
         let mut t = 0.0;
         gaps.iter()
             .map(|g| {
@@ -38,22 +39,40 @@ fn tight_train(max_len: usize) -> impl Strategy<Value = Vec<Ps>> {
 
 /// A line of `segments` JTL/TFFL segments joined by large-delay links —
 /// the shape `PartitionPlan` cuts — with a probe at every segment tail.
-fn segmented_netlist(segments: usize, stages: usize, link_ps: Ps, stateful: bool) -> Netlist {
+/// With `second_input`, the last segment opens with a confluence buffer
+/// whose other input is the external input `in2`, so stimulus enters two
+/// partitions.
+fn segmented_netlist(
+    segments: usize,
+    stages: usize,
+    link_ps: Ps,
+    stateful: bool,
+    second_input: bool,
+) -> Netlist {
     let mut n = Netlist::new();
     let mut prev: Option<CellId> = None;
     for s in 0..segments {
+        let merge = second_input && s == segments - 1;
         for i in 0..stages {
-            let kind = if stateful && i == stages / 2 {
+            let kind = if merge && i == 0 {
+                CellKind::Cb2
+            } else if stateful && i == stages / 2 {
                 CellKind::Tffl
             } else {
                 CellKind::Jtl
             };
             let c = n.add_cell(kind, format!("c{s}_{i}"));
+            let din = if kind == CellKind::Cb2 {
+                n.add_input("in2", c, PortName::DinB).unwrap();
+                PortName::DinA
+            } else {
+                PortName::Din
+            };
             match prev {
-                None => n.add_input("in", c, PortName::Din).unwrap(),
+                None => n.add_input("in", c, din).unwrap(),
                 Some(p) => {
                     let delay = if i == 0 { link_ps } else { 2.0 };
-                    n.connect_with_delay(p, PortName::Dout, c, PortName::Din, delay)
+                    n.connect_with_delay(p, PortName::Dout, c, din, delay)
                         .unwrap();
                 }
             }
@@ -67,12 +86,13 @@ fn segmented_netlist(segments: usize, stages: usize, link_ps: Ps, stateful: bool
 
 /// Runs one simulation to completion and returns everything observable:
 /// the outcome (traces, violations, stats) and, when `observe` attaches a
-/// tracer, the full observer stream.
+/// tracer, the full observer stream. `stimulus` holds the pulses of `in`,
+/// then of `in2`.
 fn run_once(
     netlist: &Netlist,
     library: &CellLibrary,
     jitter: Option<u64>,
-    pulses: &[Ps],
+    stimulus: &[Vec<Ps>],
     partitions: Option<usize>,
     observe: bool,
 ) -> (SimOutcome, Option<RingTracer>) {
@@ -84,7 +104,9 @@ fn run_once(
         cfg = cfg.jitter(seed, 2.0);
     }
     let mut sim = cfg.build(netlist, library);
-    sim.inject("in", pulses).unwrap();
+    for (input, pulses) in ["in", "in2"].into_iter().zip(stimulus) {
+        sim.inject(input, pulses).unwrap();
+    }
     match partitions {
         Some(k) => sim.run_partitioned(k).unwrap(),
         None => sim.run_to_completion().unwrap(),
@@ -396,6 +418,10 @@ proptest! {
     /// sequential run bitwise — traces, violations, stats — for k in
     /// {1, 2, 4, 7}, with no observer attached so its workers run; with a
     /// tracer attached it also reproduces the full observer event stream.
+    /// Half the cases drive short trains into one input; the other half
+    /// drive trains of more than 256 pulses into two inputs on different
+    /// segments, so the staged stimulus spans several calendar windows
+    /// and is split between partition workers.
     #[test]
     fn partitioned_runs_match_sequential_bitwise(
         segments in 2usize..5,
@@ -403,15 +429,18 @@ proptest! {
         link in 25.0..60.0f64,
         stateful: bool,
         jitter in prop::option::of(any::<u64>()),
-        pulses in tight_train(24),
+        stimulus in prop_oneof![
+            tight_train(1..24).prop_map(|pulses| vec![pulses]),
+            (tight_train(257..320), tight_train(257..320)).prop_map(|(a, b)| vec![a, b]),
+        ],
     ) {
-        let n = segmented_netlist(segments, stages, link, stateful);
+        let n = segmented_netlist(segments, stages, link, stateful, stimulus.len() > 1);
         let lib = CellLibrary::nb03();
-        let (seq_out, seq_trace) = run_once(&n, &lib, jitter, &pulses, None, true);
+        let (seq_out, seq_trace) = run_once(&n, &lib, jitter, &stimulus, None, true);
         for k in [1usize, 2, 4, 7] {
-            let (out, _) = run_once(&n, &lib, jitter, &pulses, Some(k), false);
+            let (out, _) = run_once(&n, &lib, jitter, &stimulus, Some(k), false);
             prop_assert_eq!(&out, &seq_out, "outcome diverged at k={}", k);
-            let (out, trace) = run_once(&n, &lib, jitter, &pulses, Some(k), true);
+            let (out, trace) = run_once(&n, &lib, jitter, &stimulus, Some(k), true);
             prop_assert_eq!(&out, &seq_out, "observed outcome diverged at k={}", k);
             prop_assert_eq!(&trace, &seq_trace, "observer stream diverged at k={}", k);
         }
