@@ -155,8 +155,9 @@ fn bench(c: &mut Criterion) {
         )
     });
     // Batch inference over the same pipeline: 32 independent stimulus
-    // sets, sequential vs the scoped-thread worker pool. Same total event
-    // count, so the time ratio is the batch-layer speedup.
+    // sets, one worker (the calling thread) vs the shared worker pool.
+    // Same total event count, so the time ratio is the batch-layer
+    // speedup.
     let batch_items: Vec<Stimulus> = (0..32)
         .map(|k| {
             let mut b = StimulusBuilder::new();
@@ -171,8 +172,9 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(
         (depth * total_pulses / batch_items.len()) as u64,
     ));
+    let one = runner.clone().with_workers(1);
     g.bench_function("jtl_batch32_sequential", |b| {
-        b.iter(|| runner.run_sequential(&batch_items).unwrap().len())
+        b.iter(|| one.run(&batch_items).unwrap().len())
     });
     // "host_workers" (not the count) keeps the id distinct from the fixed
     // 4-worker row below on any core count (a 4-core host would otherwise

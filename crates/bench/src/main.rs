@@ -8,12 +8,15 @@
 //! unknown name or another flag prints them to stderr and exits with
 //! status 2.
 //!
-//! The extra `bench` name (not part of the default run) prints the
-//! observability drill-down: hot-cell and per-worker metrics tables for
-//! the fig16 cell-accurate run and an end-to-end evaluation. The extra
+//! The extra `bench` name (not part of the default run) prints what the
+//! components report about themselves: the CPU tier and pool size, then
+//! hot-cell and per-worker metrics tables for the fig16 cell-accurate
+//! run and an end-to-end evaluation. Engine, serving and training speeds
+//! are timed by the criterion benches and perfbench instead. The extra
 //! `serve` name (also opt-in) runs the serving-throughput scenarios
-//! (serialized / micro-batched / overload) and, when `SERVE_JSON` names
-//! a file, writes the `BENCH_serve.json` payload there.
+//! (serialized / micro-batched / overload) on the server's default
+//! zero-hold dispatch and, when `SERVE_JSON` names a file, writes the
+//! `BENCH_serve.json` payload there.
 
 use sushi_core::experiments as exp;
 

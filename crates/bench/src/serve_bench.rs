@@ -7,11 +7,15 @@
 //!
 //! 1. **serialized** — `max_batch = 1`, one closed-loop client: every
 //!    request is its own dispatch; the no-coalescing baseline.
-//! 2. **batched** — `max_batch = 32`, 32 closed-loop clients: the
-//!    micro-batcher coalesces concurrent requests into engine batches.
+//! 2. **batched** — `max_batch = 32`, 32 closed-loop clients: an
+//!    executor takes every request queued on a shard, up to 32, as one
+//!    engine batch.
 //! 3. **overload** — open-loop arrivals at 2x the measured batched
 //!    rate: admission control must shed (`rejected > 0`) while the p99
 //!    of *served* requests stays bounded by the queue, not the backlog.
+//!
+//! All three run `ServeConfig`'s default zero-hold dispatch, as the
+//! server ships.
 
 use std::time::Duration;
 
@@ -94,11 +98,7 @@ pub fn serve_report(quick: bool) -> String {
     // 1. Serialized baseline: no coalescing possible.
     let server = Server::start(
         snn.clone(),
-        ServeConfig::new()
-            .max_batch(1)
-            .max_delay(Duration::from_micros(50))
-            .shards(1)
-            .executors(1),
+        ServeConfig::new().max_batch(1).shards(1).executors(1),
     );
     {
         let handle = server.handle();
@@ -113,15 +113,15 @@ pub fn serve_report(quick: bool) -> String {
     let serialized = loadgen::closed_loop(&server.handle(), &images, 1, duration);
     drop(server);
 
-    // 2. Micro-batched: 32 concurrent clients, size trigger 32. The
-    // queue bound (two full batches) keeps worst-case queueing delay —
+    // 2. Micro-batched: 32 concurrent clients, batches of up to 32. With
+    // no hold a batch is whatever backlog built up while the executors
+    // were busy, so it never waits for a size trigger. The queue bound (two full batches) keeps worst-case queueing delay —
     // and with it the overload p99 — small and predictable. Coalesced
     // batches of at least `sushi_ssnn::BITPLANE_MIN_LANES` take the
     // 64-lane bitplane path (`bitplane_batches` reports how many did).
     let shards = host_cpus.min(4);
     let batched_cfg = ServeConfig::new()
         .max_batch(32)
-        .max_delay(Duration::from_millis(2))
         .queue_capacity(64)
         .shards(shards)
         .executors(host_cpus);

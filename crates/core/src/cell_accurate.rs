@@ -200,7 +200,7 @@ impl CellAccurateChip {
             .with_workers(opts.resolve_workers());
         let (staged, report) = runner.run_each(
             jobs.len(),
-            opts.report.then_some(opts.hot_top_n),
+            opts.report,
             || StepEncoder::new(self.n(), self.num_states()),
             |enc, sim, i| {
                 let (cols, active) = &jobs[i];
@@ -428,11 +428,11 @@ mod tests {
         let layer = BinaryLayer::from_signs(vec![1, 1, 1, 1], 2, 2, vec![2, 1]);
         let jobs: Vec<(std::ops::Range<usize>, Vec<bool>)> =
             (0..4).map(|_| (0..2usize, vec![true, true])).collect();
-        let opts = EvalOptions::new().workers(2).report(true).hot_top_n(3);
+        let opts = EvalOptions::new().workers(2).report(true);
         let run = chip.run_column_blocks(&layer, &jobs, &opts).unwrap();
         let report = run.report.expect("report requested");
         assert_eq!(report.items, 4);
-        assert_eq!(report.hot_cells.len(), 3);
+        assert_eq!(report.hot_cells.len(), sushi_sim::HOT_CELLS);
         assert!(report.events_delivered > 0);
         // A faulty chip reports as well, and its batch equals its per-job runs.
         let broken = CellAccurateChip::build(2, 3)

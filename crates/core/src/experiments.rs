@@ -10,11 +10,10 @@ use crate::eval::{efficiency_ratio, speedup_vs_truenorth, table4_rows};
 use crate::oscilloscope::Oscilloscope;
 use crate::report::{batch_worker_table, eval_worker_table, hot_cell_table, TextTable};
 use crate::SushiChip;
-use std::time::Instant;
 use sushi_arch::chip::{ChipConfig, WeightConfig};
 use sushi_arch::{PerfModel, ResourceReport};
 use sushi_cells::{CellKind, CellLibrary};
-use sushi_par::cpu_tier;
+use sushi_par::{cpu_tier, host_workers};
 use sushi_sim::{BatchReport, EvalOptions, PulseTrain};
 use sushi_snn::data::{synth_digits, synth_fashion, Dataset};
 use sushi_snn::metrics::consistency;
@@ -22,7 +21,6 @@ use sushi_snn::train::{TrainConfig, TrainedSnn, Trainer};
 use sushi_ssnn::argmax_low;
 use sushi_ssnn::bucketing::{bucketed_order, inhibitory_first, worst_case_excursion};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
-use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 use sushi_ssnn::reload::breakdown;
 use sushi_ssnn::stateless::{FireSemantics, SsnnExecutor};
 use sushi_ssnn::timing::TimingSchedule;
@@ -881,12 +879,19 @@ pub fn fps_paper_shape() -> String {
     fps(&model)
 }
 
-/// The observability drill-down behind `sushi-bench -- bench`: the Fig 16
-/// cell-accurate run with the worker pool instrumented (hot cells,
-/// per-worker throughput) plus an end-to-end behavioural evaluation with
-/// its throughput report, each rendered as tables and as one JSON line.
+/// The observability report behind `sushi-bench -- bench`: what the
+/// components report about themselves. A header names the SIMD tier and
+/// the pool size the runs used; then the Fig 16 cell-accurate run with
+/// the worker pool instrumented (hot cells, per-worker throughput) and an
+/// end-to-end behavioural evaluation with its throughput report, each
+/// rendered as tables and as one JSON line. Engine, serving and training
+/// speeds are timed by the criterion benches and perfbench, not here.
 pub fn bench_metrics(scale: Scale) -> String {
-    let mut out = String::new();
+    let mut out = format!(
+        "## Bench: component reports | cpu tier: {} | pool workers: {}\n\n",
+        cpu_tier().name(),
+        host_workers(),
+    );
 
     // Cell-accurate path: fig16's batched column-block runs, instrumented.
     let (result, report, _) = fig16_with_report(true);
@@ -929,149 +934,6 @@ pub fn bench_metrics(scale: Scale) -> String {
         er.to_json(),
     ));
 
-    // Engine drill-down on the binarized network the compiler just
-    // built: the scalar oracle, the per-image packed engine and the
-    // 64-lane bitplane batch engine, the two fast ones on one pre-packed
-    // copy of the images.
-    let packed = PackedSnn::from_network(&program.net);
-    let width = packed.input_width();
-    let frames: Vec<Vec<Vec<bool>>> = test
-        .images
-        .iter()
-        .take(32)
-        .enumerate()
-        .map(|(i, img)| program.encode_input(img, i as u64))
-        .collect();
-    let requests: Vec<PackedFrames> = frames
-        .iter()
-        .map(|img| PackedFrames::from_bool_frames(width, img))
-        .collect();
-    let reps = 5;
-    let race = |engine: &dyn Fn() -> Vec<usize>| {
-        let t = Instant::now();
-        let mut p = Vec::new();
-        for _ in 0..reps {
-            p = engine();
-        }
-        let rate = (reps * frames.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
-        (rate, p)
-    };
-    let net = &program.net;
-    let (scalar_rate, scalar_preds) =
-        race(&|| frames.iter().map(|f| net.predict_scalar(f)).collect());
-    let (packed_rate, offline) = race(&|| packed.predict_batch_packed(&requests, 1));
-    let (bitplane_rate, bitplane_preds) =
-        race(&|| packed.predict_batch_bitplane_packed(&requests, 1));
-    let agree = scalar_preds == offline && offline == bitplane_preds;
-    out.push_str(&format!(
-        "\n## Bench: packed SSNN engine (XNOR/popcount)\n\
-         images {} x{} reps | packed {:.0} images/s | scalar {:.0} images/s | speedup {:.2}x | predictions agree: {}\n\
-         bitplane batch engine: {:.0} images/s | {:.2}x over packed\n",
-        frames.len(),
-        reps,
-        packed_rate,
-        scalar_rate,
-        packed_rate / scalar_rate.max(1e-9),
-        agree,
-        bitplane_rate,
-        bitplane_rate / packed_rate.max(1e-9),
-    ));
-
-    // Serving drill-down: the same packed network behind the sharded
-    // micro-batching pipeline — concurrent pre-packed clients, served
-    // classes checked bitwise against the offline packed predictions.
-    // The default zero hold dispatches at once: one client per shard
-    // never fills a batch, so any hold would be all this row measured.
-    let host_cpus = sushi_par::host_workers();
-    let shards = host_cpus.min(4);
-    let server = sushi_serve::Server::start(
-        packed.clone(),
-        sushi_serve::ServeConfig::new()
-            .max_batch(8)
-            .shards(shards)
-            .executors(host_cpus),
-    );
-    let clients = host_cpus.min(4);
-    let serve_reps = 5;
-    let t = Instant::now();
-    let served_match = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let handle = server.handle().with_affinity(c);
-                let mut requests = requests.clone();
-                let offline = &offline;
-                scope.spawn(move || {
-                    let mut ok = true;
-                    for _ in 0..serve_reps {
-                        for (req, &want) in requests.iter_mut().zip(offline) {
-                            let got = handle.predict_packed(req).expect("serve ok");
-                            ok &= got.class == want;
-                        }
-                    }
-                    ok
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().expect("serve client"))
-    });
-    let serve_rate =
-        (clients * serve_reps * frames.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
-    let serve_stats = server.stats();
-    drop(server);
-    out.push_str(&format!(
-        "\n## Bench: serving pipeline (sharded micro-batching)\n\
-         shards {} | executors {} | clients {} | {:.0} images/s | mean batch {:.1} | \
-         stolen batches {} | served classes match offline: {}\n",
-        shards,
-        host_cpus,
-        clients,
-        serve_rate,
-        serve_stats.mean_batch_size(),
-        serve_stats.stolen_batches,
-        served_match,
-    ));
-
-    // Training-kernel drill-down: the allocation-free BPTT hot path
-    // (SIMD matmul tiers + persistent worker pool) on a scaled-down
-    // network, measured exactly as `Trainer::fit` drives it.
-    let tcfg = scale.config();
-    let tmlp = sushi_snn::SnnMlp::new(&tcfg.layer_sizes(), tcfg.seed)
-        .with_binary_weights(tcfg.binary_weights)
-        .with_stateless(tcfg.stateless);
-    let enc = sushi_snn::PoissonEncoder::new(tcfg.seed);
-    let tdata = synth_digits(tcfg.batch, 12);
-    let samples: Vec<&[f32]> = tdata.images.iter().map(Vec::as_slice).collect();
-    let ids: Vec<u64> = (0..samples.len() as u64).collect();
-    let frames = enc.encode_batch(&samples, tcfg.time_steps, &ids);
-    let mut targets = sushi_snn::Matrix::zeros(samples.len(), tcfg.classes);
-    for (r, &label) in tdata.labels.iter().enumerate() {
-        targets[(r, label as usize)] = 1.0;
-    }
-    let mut ws = sushi_snn::TrainScratch::new();
-    let treps = 20;
-    let t = Instant::now();
-    for _ in 0..treps {
-        tmlp.forward_record_with(&frames, &mut ws);
-    }
-    let fwd_rate = (treps * samples.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
-    let t = Instant::now();
-    for _ in 0..treps {
-        tmlp.backward_with(&frames, &targets, &mut ws);
-    }
-    let bwd_rate = (treps * samples.len()) as f64 / t.elapsed().as_secs_f64().max(1e-9);
-    // The kernels each tier runs are listed in DESIGN.md, "Training hot
-    // path".
-    out.push_str(&format!(
-        "\n## Bench: training kernels (SIMD + pooled BPTT)\n\
-         batch {} x{} reps | forward {:.0} samples/s | backward {:.0} samples/s | \
-         cpu tier: {} | pool workers: {}\n",
-        samples.len(),
-        treps,
-        fwd_rate,
-        bwd_rate,
-        cpu_tier().name(),
-        sushi_par::host_workers(),
-    ));
     out
 }
 

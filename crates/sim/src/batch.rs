@@ -17,7 +17,8 @@
 //! # Determinism
 //!
 //! Results are bitwise identical to running every item sequentially on a
-//! fresh simulator, regardless of worker count:
+//! fresh simulator built from the same [`SimConfig`], regardless of
+//! worker count:
 //!
 //! - Each item is an independent simulation; workers share nothing but the
 //!   immutable netlist and cell library.
@@ -73,6 +74,9 @@ use std::time::Instant;
 use sushi_cells::{CellLibrary, Ps};
 use sushi_par::fan_out;
 
+/// Rows in a [`BatchReport`]'s hot-cell table.
+pub const HOT_CELLS: usize = 8;
+
 /// Runs batches of stimulus sets over one netlist on a worker pool.
 ///
 /// See the [module docs](self) for the determinism guarantee and an
@@ -83,7 +87,7 @@ pub struct BatchRunner<'a> {
     library: &'a CellLibrary,
     /// `None` = one per host CPU ([`sushi_par::host_workers`]).
     workers: Option<usize>,
-    /// What every worker's simulator is built from; never has an observer.
+    /// What every worker's simulator is built from.
     config: SimConfig,
 }
 
@@ -112,15 +116,16 @@ impl<'a> BatchRunner<'a> {
     /// style), replacing any config set before.
     /// Config jitter models one chip: every item starts from the config's
     /// seed (a reset rewinds the draws), exactly as on a fresh simulator
-    /// built from `config`. An observer in `config` is not used; use
-    /// [`BatchRunner::run_with_report`] for per-worker metrics.
+    /// built from `config`. Use [`BatchRunner::run_with_report`] for
+    /// per-worker metrics.
     pub fn with_config(mut self, config: &SimConfig) -> Self {
-        self.config = config.without_observer();
+        self.config = config.clone();
         self
     }
 
     /// Sets the worker count (builder style). Clamped to at least 1; one
-    /// worker means the batch runs on the calling thread.
+    /// worker means the batch runs on the calling thread, over one reused
+    /// simulator.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -129,10 +134,6 @@ impl<'a> BatchRunner<'a> {
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers.unwrap_or_else(sushi_par::host_workers)
-    }
-
-    fn make_simulator(&self) -> Simulator<'a> {
-        self.config.clone().build(self.netlist, self.library)
     }
 
     fn run_item<T>(
@@ -150,9 +151,8 @@ impl<'a> BatchRunner<'a> {
     /// simulator and reuses both across its items. Item `i` runs on the
     /// freshly reset simulator after `stage(scratch, sim, i)` has injected
     /// its pulses; the value `stage` returns comes back beside the item's
-    /// outcome, in input order. With `hot_top_n` set, a [`BatchReport`]
-    /// with that many hot cells is collected as in
-    /// [`BatchRunner::run_with_report`].
+    /// outcome, in input order. With `report` set, a [`BatchReport`] is
+    /// collected as in [`BatchRunner::run_with_report`].
     ///
     /// # Errors
     ///
@@ -165,7 +165,7 @@ impl<'a> BatchRunner<'a> {
     pub fn run_each<S, T: Send>(
         &self,
         count: usize,
-        hot_top_n: Option<usize>,
+        report: bool,
         scratch: impl Fn() -> S + Sync,
         stage: impl Fn(&mut S, &mut Simulator<'a>, usize) -> Result<T, SimError> + Sync,
     ) -> Result<StagedBatch<T>, SimError> {
@@ -174,15 +174,15 @@ impl<'a> BatchRunner<'a> {
             std::iter::repeat_with(|| None).take(count).collect();
         let chunks = fan_out(&mut slots, self.workers(), 1, |r, out| {
             let w0 = Instant::now();
-            let mut sim = self.make_simulator();
-            if hot_top_n.is_some() {
+            let mut sim = self.config.build(self.netlist, self.library);
+            if report {
                 sim.attach_observer(ActivityProfiler::new());
             }
             let mut scratch = scratch();
             for (i, slot) in r.clone().zip(out) {
                 *slot = Some(Self::run_item(&mut sim, |sim| stage(&mut scratch, sim, i)));
             }
-            let profiler = hot_top_n.map(|_| {
+            let profiler = report.then(|| {
                 sim.take_observer_as::<ActivityProfiler>()
                     .expect("worker attached a profiler")
             });
@@ -193,7 +193,7 @@ impl<'a> BatchRunner<'a> {
             .into_iter()
             .map(|slot| slot.expect("every slot written by its worker"))
             .collect::<Result<Vec<_>, _>>()?;
-        let report = hot_top_n.map(|top_n| self.report(&items, chunks, wall_s, top_n));
+        let report = report.then(|| self.report(&items, chunks, wall_s));
         Ok((items, report))
     }
 
@@ -209,29 +209,13 @@ impl<'a> BatchRunner<'a> {
     /// Propagates a panic from a worker thread (none originate in the
     /// simulator itself).
     pub fn run(&self, items: &[Stimulus]) -> Result<Vec<SimOutcome>, SimError> {
-        let (outcomes, _) = self.run_stimuli(items, None)?;
+        let (outcomes, _) = self.run_stimuli(items, false)?;
         Ok(outcomes)
-    }
-
-    /// Runs every item on the calling thread — the reference semantics the
-    /// parallel path must reproduce bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest-indexed item that failed.
-    pub fn run_sequential(&self, items: &[Stimulus]) -> Result<Vec<SimOutcome>, SimError> {
-        let mut sim = self.make_simulator();
-        items
-            .iter()
-            .map(|item| {
-                Self::run_item(&mut sim, |sim| item.inject_into(sim)).map(|((), outcome)| outcome)
-            })
-            .collect()
     }
 
     /// Runs every item like [`BatchRunner::run`] and additionally collects
     /// a [`BatchReport`]: per-worker throughput and utilization, aggregate
-    /// violation counts, and the `hot_top_n` busiest cells merged across
+    /// violation counts, and the [`HOT_CELLS`] busiest cells merged across
     /// all workers.
     ///
     /// The outcomes are bitwise identical to [`BatchRunner::run`] — the
@@ -249,20 +233,19 @@ impl<'a> BatchRunner<'a> {
     pub fn run_with_report(
         &self,
         items: &[Stimulus],
-        hot_top_n: usize,
     ) -> Result<(Vec<SimOutcome>, BatchReport), SimError> {
-        let (outcomes, report) = self.run_stimuli(items, Some(hot_top_n))?;
+        let (outcomes, report) = self.run_stimuli(items, true)?;
         Ok((outcomes, report.expect("report requested")))
     }
 
     fn run_stimuli(
         &self,
         items: &[Stimulus],
-        hot_top_n: Option<usize>,
+        report: bool,
     ) -> Result<(Vec<SimOutcome>, Option<BatchReport>), SimError> {
         let (staged, report) = self.run_each(
             items.len(),
-            hot_top_n,
+            report,
             || (),
             |_, sim, i| items[i].inject_into(sim),
         )?;
@@ -276,7 +259,6 @@ impl<'a> BatchRunner<'a> {
         items: &[(T, SimOutcome)],
         chunks: Vec<WorkerChunk>,
         wall_s: f64,
-        hot_top_n: usize,
     ) -> BatchReport {
         let mut merged = ActivityProfiler::new();
         let mut workers = Vec::new();
@@ -324,7 +306,7 @@ impl<'a> BatchRunner<'a> {
             } else {
                 busy / (workers.len() as f64 * max_wall)
             },
-            hot_cells: merged.hot_cells(self.netlist, self.library, hot_top_n),
+            hot_cells: merged.hot_cells(self.netlist, self.library, HOT_CELLS),
             workers,
         }
     }
@@ -442,6 +424,25 @@ mod tests {
         n
     }
 
+    /// The reference semantics the batch runner must reproduce: every
+    /// item on its own fresh simulator built from `config`.
+    fn fresh_runs(
+        n: &Netlist,
+        l: &CellLibrary,
+        config: &SimConfig,
+        items: &[Stimulus],
+    ) -> Vec<SimOutcome> {
+        items
+            .iter()
+            .map(|item| {
+                let mut sim = config.build(n, l);
+                item.inject_into(&mut sim).unwrap();
+                sim.run_to_completion().unwrap();
+                sim.take_outcome()
+            })
+            .collect()
+    }
+
     fn batch(len: usize) -> Vec<Stimulus> {
         (0..len)
             .map(|k| {
@@ -460,7 +461,7 @@ mod tests {
         let l = lib();
         let items = batch(13);
         let runner = BatchRunner::new(&n, &l);
-        let reference = runner.run_sequential(&items).unwrap();
+        let reference = fresh_runs(&n, &l, &SimConfig::new(), &items);
         for workers in [1, 2, 3, 4, 8] {
             let got = runner.clone().with_workers(workers).run(&items).unwrap();
             assert_eq!(got, reference, "workers={workers}");
@@ -472,14 +473,15 @@ mod tests {
         let n = small_design();
         let l = lib();
         let items = batch(9);
-        let runner = BatchRunner::new(&n, &l).with_config(&SimConfig::new().jitter(0xC0FFEE, 2.0));
-        let reference = runner.run_sequential(&items).unwrap();
+        let config = SimConfig::new().jitter(0xC0FFEE, 2.0);
+        let runner = BatchRunner::new(&n, &l).with_config(&config);
+        let reference = fresh_runs(&n, &l, &config, &items);
         for workers in [2, 4] {
             let got = runner.clone().with_workers(workers).run(&items).unwrap();
             assert_eq!(got, reference, "workers={workers}");
         }
         // Jitter actually perturbed the waveforms vs the nominal run.
-        let nominal = BatchRunner::new(&n, &l).run_sequential(&items).unwrap();
+        let nominal = fresh_runs(&n, &l, &SimConfig::new(), &items);
         assert_ne!(reference, nominal);
     }
 
@@ -564,14 +566,14 @@ mod tests {
         let (_, report) = runner
             .clone()
             .with_workers(16)
-            .run_with_report(&batch(3), 1)
+            .run_with_report(&batch(3))
             .unwrap();
         assert_eq!(report.workers.len(), 3);
         assert!(report.workers.iter().all(|w| w.items == 1));
         let (_, report) = runner
             .clone()
             .with_workers(6)
-            .run_with_report(&batch(10), 1)
+            .run_with_report(&batch(10))
             .unwrap();
         assert_eq!(report.workers.len(), 6);
         let loads: Vec<usize> = report.workers.iter().map(|w| w.items).collect();
@@ -584,7 +586,7 @@ mod tests {
         let l = lib();
         let items = batch(3);
         let runner = BatchRunner::new(&n, &l);
-        let reference = runner.run_sequential(&items).unwrap();
+        let reference = fresh_runs(&n, &l, &SimConfig::new(), &items);
         assert_eq!(
             runner.clone().with_workers(16).run(&items).unwrap(),
             reference
@@ -602,7 +604,7 @@ mod tests {
             let (outcomes, report) = runner
                 .clone()
                 .with_workers(workers)
-                .run_with_report(&items, 3)
+                .run_with_report(&items)
                 .unwrap();
             assert_eq!(outcomes, plain, "workers={workers}");
             assert_eq!(report.items, items.len());
@@ -614,7 +616,7 @@ mod tests {
                 report.workers.iter().map(|w| w.items).sum::<usize>(),
                 items.len()
             );
-            assert!(report.hot_cells.len() <= 3);
+            assert!(report.hot_cells.len() <= HOT_CELLS);
             assert!(!report.hot_cells.is_empty());
             // The confluence buffer sees every splitter pulse plus the
             // TFF halves — it must lead the hot-cell table.
@@ -630,7 +632,7 @@ mod tests {
         let items = batch(6);
         let (_, report) = BatchRunner::new(&n, &l)
             .with_workers(2)
-            .run_with_report(&items, 2)
+            .run_with_report(&items)
             .unwrap();
         let text = report.to_json().to_string();
         let parsed = crate::json::Json::parse(&text).unwrap();
@@ -656,7 +658,7 @@ mod tests {
         items[3] = StimulusBuilder::new().pulse("nope", 0.0).unwrap().build();
         let err = BatchRunner::new(&n, &l)
             .with_workers(4)
-            .run_with_report(&items, 2)
+            .run_with_report(&items)
             .unwrap_err();
         assert_eq!(err, SimError::UnknownInput("nope".into()));
     }
@@ -665,7 +667,7 @@ mod tests {
     fn report_run_handles_empty_batch() {
         let n = small_design();
         let l = lib();
-        let (outcomes, report) = BatchRunner::new(&n, &l).run_with_report(&[], 4).unwrap();
+        let (outcomes, report) = BatchRunner::new(&n, &l).run_with_report(&[]).unwrap();
         assert!(outcomes.is_empty());
         assert_eq!(report.items, 0);
         assert!(report.hot_cells.is_empty());

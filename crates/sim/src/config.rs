@@ -7,9 +7,9 @@
 //! many simulators (e.g. one per batch worker).
 //!
 //! `EvalOptions` plays the matching role one layer up: the knobs shared by
-//! every batch-evaluation entry point (worker count, base seed, metrics
-//! reporting), so "sequential vs parallel" and "plain vs instrumented" are
-//! config choices rather than different APIs.
+//! every batch-evaluation entry point (worker count, metrics reporting),
+//! so "sequential vs parallel" and "plain vs instrumented" are config
+//! choices rather than different APIs.
 //!
 //! # Examples
 //!
@@ -34,22 +34,21 @@
 
 use crate::engine::{Fault, Simulator};
 use crate::netlist::{CellId, Netlist};
-use crate::observe::SimObserver;
 use sushi_cells::{CellLibrary, Ps};
 
-/// A declarative simulator configuration: jitter, faults, event limit
-/// and an optional observer.
+/// A declarative simulator configuration: jitter, faults and event
+/// limit. Observers are attached to a built simulator with
+/// [`Simulator::attach_observer`].
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     jitter: Option<(u64, Ps)>,
     faults: Vec<(CellId, Fault)>,
     event_limit: Option<u64>,
-    observer: Option<Box<dyn SimObserver>>,
 }
 
 impl SimConfig {
     /// An empty configuration: nominal timing, no faults, default event
-    /// limit, no observer.
+    /// limit.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,73 +77,38 @@ impl SimConfig {
         self
     }
 
-    /// Attaches an observer; it receives every engine hook during runs and
-    /// can be recovered afterwards with
-    /// [`Simulator::take_observer_as`](crate::Simulator::take_observer_as).
-    pub fn observer(mut self, obs: impl SimObserver + 'static) -> Self {
-        self.observer = Some(Box::new(obs));
-        self
-    }
-
     /// Builds a simulator over `netlist`/`library` with this
-    /// configuration applied. The config is consumed because the observer
-    /// (if any) moves into the simulator; clone first to reuse it.
-    pub fn build<'a>(self, netlist: &'a Netlist, library: &'a CellLibrary) -> Simulator<'a> {
+    /// configuration applied.
+    pub fn build<'a>(&self, netlist: &'a Netlist, library: &'a CellLibrary) -> Simulator<'a> {
         let mut sim = Simulator::new(netlist, library);
         if let Some((seed, sigma)) = self.jitter {
             sim.set_jitter(seed, sigma);
         }
-        for (cell, fault) in self.faults {
+        for &(cell, fault) in &self.faults {
             sim.set_fault(cell, fault);
         }
         if let Some(limit) = self.event_limit {
             sim.set_event_limit(limit);
         }
-        if let Some(obs) = self.observer {
-            sim.set_observer(obs);
-        }
         sim
-    }
-
-    /// A copy of this configuration without its observer.
-    pub(crate) fn without_observer(&self) -> Self {
-        Self {
-            faults: self.faults.clone(),
-            observer: None,
-            ..*self
-        }
     }
 }
 
 /// Options shared by the batch-evaluation entry points (`SushiChip::
-/// evaluate`, `CellAccurateChip::run_column_blocks`, `BatchRunner`).
-#[derive(Debug, Clone, PartialEq)]
+/// evaluate`, `CellAccurateChip::run_column_blocks`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalOptions {
     /// Worker threads; `None` picks the host's available parallelism.
     pub workers: Option<usize>,
-    /// Base seed mixed into per-item seeds (0 reproduces historical runs).
-    pub seed: u64,
-    /// Collect a metrics report (per-worker throughput, hot cells,
-    /// violations) alongside the results. Off by default: reports carry
-    /// wall-clock times, which would break bitwise run comparisons.
+    /// Collect a metrics report (per-worker throughput, violations and,
+    /// on the cell-accurate path, the [`HOT_CELLS`](crate::HOT_CELLS)
+    /// hottest cells) alongside the results. Off by default: reports
+    /// carry wall-clock times, which would break bitwise run comparisons.
     pub report: bool,
-    /// Rows in the hot-cell top-N table when `report` is on.
-    pub hot_top_n: usize,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        Self {
-            workers: None,
-            seed: 0,
-            report: false,
-            hot_top_n: 8,
-        }
-    }
 }
 
 impl EvalOptions {
-    /// The defaults: auto worker count, seed 0, no report.
+    /// The defaults: auto worker count, no report.
     pub fn new() -> Self {
         Self::default()
     }
@@ -161,21 +125,9 @@ impl EvalOptions {
         self
     }
 
-    /// Sets the base seed mixed into per-item seeds.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Enables or disables the metrics report.
     pub fn report(mut self, on: bool) -> Self {
         self.report = on;
-        self
-    }
-
-    /// Sets the hot-cell table depth used when reporting.
-    pub fn hot_top_n(mut self, n: usize) -> Self {
-        self.hot_top_n = n;
         self
     }
 
@@ -228,15 +180,9 @@ mod tests {
 
     #[test]
     fn eval_options_builder_and_resolution() {
-        let opts = EvalOptions::new()
-            .workers(3)
-            .seed(99)
-            .report(true)
-            .hot_top_n(4);
+        let opts = EvalOptions::new().workers(3).report(true);
         assert_eq!(opts.resolve_workers(), 3);
-        assert_eq!(opts.seed, 99);
         assert!(opts.report);
-        assert_eq!(opts.hot_top_n, 4);
         let auto = EvalOptions::default();
         assert!(auto.resolve_workers() >= 1);
         assert!(!auto.report);

@@ -462,14 +462,9 @@ impl<'a> Simulator<'a> {
         self.event_limit = limit;
     }
 
-    pub(crate) fn set_observer(&mut self, obs: Box<dyn SimObserver>) {
-        self.observer = Some(obs);
-    }
-
     /// Attaches `obs` to receive engine hooks from now on, replacing any
-    /// previous observer. Usually configured up front via
-    /// [`SimConfig::observer`](crate::SimConfig::observer); this entry
-    /// point exists for instrumenting an already-built simulator.
+    /// previous observer. Recover it after a run with
+    /// [`Simulator::take_observer_as`].
     pub fn attach_observer(&mut self, obs: impl SimObserver + 'static) {
         self.observer = Some(Box::new(obs));
     }
@@ -968,7 +963,8 @@ mod tests {
         use crate::observe::{RingTracer, TraceKind};
         let n = simple_chain();
         let l = lib();
-        let mut sim = SimConfig::new().observer(RingTracer::new(64)).build(&n, &l);
+        let mut sim = SimConfig::new().build(&n, &l);
+        sim.attach_observer(RingTracer::new(64));
         sim.inject("in", &[1000.0, 2000.0]).unwrap();
         sim.run_until(1500.0).unwrap();
         sim.inject("in", &[100.0]).unwrap();
@@ -1009,9 +1005,8 @@ mod tests {
         let ascending: Vec<Ps> = (1..=600).map(|i| 40.0 * i as Ps).collect();
         let descending: Vec<Ps> = ascending.iter().rev().copied().collect();
         let run = |a_times: &[Ps]| {
-            let mut sim = SimConfig::new()
-                .observer(RingTracer::new(4096))
-                .build(&n, &l);
+            let mut sim = SimConfig::new().build(&n, &l);
+            sim.attach_observer(RingTracer::new(4096));
             sim.inject("a", a_times).unwrap();
             sim.inject("b", &ascending).unwrap();
             sim.run_to_completion().unwrap();

@@ -4,9 +4,9 @@
 //! The paper validates the fabricated chip by *watching* it — comparing
 //! oscilloscope waveforms against VCS traces. This module gives the
 //! software stack the same first-class observability: an observer attached
-//! via [`SimConfig::observer`](crate::SimConfig::observer) receives a
-//! callback for every injection, delivery, emission and violation, plus a
-//! run-end summary. With no observer attached the engine pays a single
+//! with [`Simulator::attach_observer`](crate::Simulator::attach_observer)
+//! receives a callback for every injection, delivery, emission and
+//! violation, plus a run-end summary. With no observer attached the engine pays a single
 //! predictable branch per event, so the hot path stays at its benchmarked
 //! throughput.
 //!
@@ -33,9 +33,8 @@
 //! n.probe("out", j, PortName::Dout).unwrap();
 //! let lib = CellLibrary::nb03();
 //!
-//! let mut sim = SimConfig::new()
-//!     .observer(ActivityProfiler::new())
-//!     .build(&n, &lib);
+//! let mut sim = SimConfig::new().build(&n, &lib);
+//! sim.attach_observer(ActivityProfiler::new());
 //! sim.inject("in", &[100.0, 200.0]).unwrap();
 //! sim.run_to_completion().unwrap();
 //! let profiler: ActivityProfiler = sim.take_observer_as().unwrap();
@@ -63,11 +62,10 @@ use sushi_cells::{CellKind, CellLibrary, Ps};
 /// Observers are `Send` because a simulator holds one and the partitioned
 /// runner's workers
 /// ([`Simulator::run_partitioned`](crate::Simulator::run_partitioned))
-/// are simulator clones moved to threads, and `Sync` so batch workers can
-/// share one [`SimConfig`](crate::SimConfig). `run_partitioned` runs a
+/// are simulator clones moved to threads. `run_partitioned` runs a
 /// simulator with an observer attached on the sequential engine, so hooks
 /// only ever fire from one thread at a time, in exact sequential order.
-pub trait SimObserver: fmt::Debug + Send + Sync {
+pub trait SimObserver: fmt::Debug + Send {
     /// Pulses were scheduled on the named external input.
     fn on_inject(&mut self, input: &str, times: &[Ps]) {
         let _ = (input, times);
@@ -443,9 +441,8 @@ mod tests {
     fn profiler_counts_match_sim_stats() {
         let n = chain();
         let l = lib();
-        let mut sim = SimConfig::new()
-            .observer(ActivityProfiler::new())
-            .build(&n, &l);
+        let mut sim = SimConfig::new().build(&n, &l);
+        sim.attach_observer(ActivityProfiler::new());
         let times: Vec<Ps> = (0..20).map(|i| 100.0 + 40.0 * i as Ps).collect();
         sim.inject("in", &times).unwrap();
         sim.run_to_completion().unwrap();
@@ -463,9 +460,8 @@ mod tests {
     fn profiler_hot_cells_are_sorted_and_labelled() {
         let n = chain();
         let l = lib();
-        let mut sim = SimConfig::new()
-            .observer(ActivityProfiler::new())
-            .build(&n, &l);
+        let mut sim = SimConfig::new().build(&n, &l);
+        sim.attach_observer(ActivityProfiler::new());
         sim.inject("in", &[100.0, 200.0, 300.0]).unwrap();
         sim.run_to_completion().unwrap();
         let profiler: ActivityProfiler = sim.take_observer_as().unwrap();
@@ -484,9 +480,8 @@ mod tests {
         let n = chain();
         let l = lib();
         let run = |pulses: usize| {
-            let mut sim = SimConfig::new()
-                .observer(ActivityProfiler::new())
-                .build(&n, &l);
+            let mut sim = SimConfig::new().build(&n, &l);
+            sim.attach_observer(ActivityProfiler::new());
             let times: Vec<Ps> = (0..pulses).map(|i| 100.0 + 40.0 * i as Ps).collect();
             sim.inject("in", &times).unwrap();
             sim.run_to_completion().unwrap();
@@ -503,7 +498,8 @@ mod tests {
     fn tracer_ring_buffer_truncates_to_capacity() {
         let n = chain();
         let l = lib();
-        let mut sim = SimConfig::new().observer(RingTracer::new(8)).build(&n, &l);
+        let mut sim = SimConfig::new().build(&n, &l);
+        sim.attach_observer(RingTracer::new(8));
         let times: Vec<Ps> = (0..10).map(|i| 100.0 + 40.0 * i as Ps).collect();
         sim.inject("in", &times).unwrap();
         sim.run_to_completion().unwrap();
@@ -520,7 +516,8 @@ mod tests {
     fn tracer_captures_violations_for_post_mortem() {
         let n = chain();
         let l = lib();
-        let mut sim = SimConfig::new().observer(RingTracer::new(64)).build(&n, &l);
+        let mut sim = SimConfig::new().build(&n, &l);
+        sim.attach_observer(RingTracer::new(64));
         sim.inject("in", &[100.0, 103.0]).unwrap();
         sim.run_to_completion().unwrap();
         assert!(!sim.violations().is_empty());
@@ -537,10 +534,8 @@ mod tests {
         let mut plain = SimConfig::new().jitter(9, 2.0).build(&n, &l);
         plain.inject("in", &times).unwrap();
         plain.run_to_completion().unwrap();
-        let mut observed = SimConfig::new()
-            .jitter(9, 2.0)
-            .observer(ActivityProfiler::new())
-            .build(&n, &l);
+        let mut observed = SimConfig::new().jitter(9, 2.0).build(&n, &l);
+        observed.attach_observer(ActivityProfiler::new());
         observed.inject("in", &times).unwrap();
         observed.run_to_completion().unwrap();
         assert_eq!(plain.take_outcome(), observed.take_outcome());

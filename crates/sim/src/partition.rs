@@ -727,15 +727,19 @@ mod tests {
 
     /// Drives `stimulus()` into every input of `n` and runs it
     /// sequentially (`workers == None`) or on `workers` partitions.
-    /// Returns the outcome and, when `config` attached one, the observer
-    /// stream.
+    /// Returns the outcome and, when `observe` attached a recorder, the
+    /// observer stream.
     fn run_mode(
         n: &Netlist,
-        config: SimConfig,
+        config: &SimConfig,
         workers: Option<usize>,
+        observe: bool,
     ) -> (crate::SimOutcome, Option<StreamRecorder>) {
         let l = lib();
         let mut sim = config.build(n, &l);
+        if observe {
+            sim.attach_observer(StreamRecorder::default());
+        }
         for input in n.inputs().keys() {
             sim.inject(input, &stimulus()).unwrap();
         }
@@ -748,9 +752,9 @@ mod tests {
     }
 
     /// Checks `run_partitioned(workers)` against the sequential run under
-    /// `config` (which attaches no observer): unobserved, the workers run
-    /// and must reproduce the sequential outcome bitwise; observed, the
-    /// outcome and the whole observer stream must be the sequential ones.
+    /// `config`: unobserved, the workers run and must reproduce the
+    /// sequential outcome bitwise; observed, the outcome and the whole
+    /// observer stream must be the sequential ones.
     /// Returns the sequential outcome.
     fn assert_partitioned_matches(
         n: &Netlist,
@@ -761,11 +765,10 @@ mod tests {
             PartitionPlan::plan(n, workers).is_some(),
             "workers={workers} must shard"
         );
-        let observed = || config.clone().observer(StreamRecorder::default());
-        let (seq_out, seq_rec) = run_mode(n, observed(), None);
-        let (par_out, _) = run_mode(n, config.clone(), Some(workers));
+        let (seq_out, seq_rec) = run_mode(n, config, None, true);
+        let (par_out, _) = run_mode(n, config, Some(workers), false);
         assert_eq!(par_out, seq_out, "outcome, workers={workers}");
-        let (obs_out, obs_rec) = run_mode(n, observed(), Some(workers));
+        let (obs_out, obs_rec) = run_mode(n, config, Some(workers), true);
         assert_eq!(obs_out, seq_out, "observed outcome, workers={workers}");
         assert_eq!(obs_rec, seq_rec, "observer stream, workers={workers}");
         seq_out
@@ -859,7 +862,7 @@ mod tests {
     fn reset_after_partitioned_run_reproduces_fresh_results() {
         let n = linked_chains(7, 30.0);
         let config = SimConfig::new().jitter(9, 1.5);
-        let (fresh, _) = run_mode(&n, config.clone(), None);
+        let (fresh, _) = run_mode(&n, &config, None, false);
         let l = lib();
         let mut sim = config.build(&n, &l);
         sim.inject("in", &stimulus()).unwrap();

@@ -97,13 +97,13 @@ fn run_once(
     observe: bool,
 ) -> (SimOutcome, Option<RingTracer>) {
     let mut cfg = SimConfig::new();
-    if observe {
-        cfg = cfg.observer(RingTracer::new(1 << 14));
-    }
     if let Some(seed) = jitter {
         cfg = cfg.jitter(seed, 2.0);
     }
     let mut sim = cfg.build(netlist, library);
+    if observe {
+        sim.attach_observer(RingTracer::new(1 << 14));
+    }
     for (input, pulses) in ["in", "in2"].into_iter().zip(stimulus) {
         sim.inject(input, pulses).unwrap();
     }
@@ -205,8 +205,9 @@ proptest! {
     }
 
     /// The batch layer is deterministic: for random small netlists and
-    /// stimulus batches, 1/2/4 workers all reproduce the sequential
-    /// outcomes bitwise — with and without jitter.
+    /// stimulus batches, 1/2/4 workers all reproduce bitwise the outcomes
+    /// of running every item on its own fresh simulator built from the
+    /// same config — with and without jitter.
     #[test]
     fn batch_runner_matches_sequential_for_any_worker_count(
         trains in prop::collection::vec(safe_train(12), 1..8),
@@ -240,11 +241,21 @@ proptest! {
             })
             .collect();
 
-        let mut runner = BatchRunner::new(&n, &lib);
-        if jittered {
-            runner = runner.with_config(&SimConfig::new().jitter(0xBA7C4, 1.5));
-        }
-        let reference = runner.run_sequential(&items).unwrap();
+        let config = if jittered {
+            SimConfig::new().jitter(0xBA7C4, 1.5)
+        } else {
+            SimConfig::new()
+        };
+        let runner = BatchRunner::new(&n, &lib).with_config(&config);
+        let reference: Vec<SimOutcome> = items
+            .iter()
+            .map(|item| {
+                let mut sim = config.build(&n, &lib);
+                item.inject_into(&mut sim).unwrap();
+                sim.run_to_completion().unwrap();
+                sim.take_outcome()
+            })
+            .collect();
         prop_assert_eq!(reference.len(), items.len());
         for workers in [1usize, 2, 4] {
             let got = runner.clone().with_workers(workers).run(&items).unwrap();
@@ -287,7 +298,7 @@ proptest! {
         let plain = runner.run(&items).unwrap();
         for workers in [1usize, 2, 4] {
             let r = runner.clone().with_workers(workers);
-            let (observed, report) = r.run_with_report(&items, 4).unwrap();
+            let (observed, report) = r.run_with_report(&items).unwrap();
             prop_assert_eq!(&observed, &plain, "workers={}", workers);
             let delivered: u64 = plain.iter().map(|o| o.stats.events_delivered).sum();
             prop_assert_eq!(report.events_delivered, delivered);

@@ -81,9 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     n.connect(ports.out.cell, ports.out.port, pad, PortName::Din)?;
     n.probe("dc_level", pad, PortName::Dout)?;
     let lib = CellLibrary::nb03();
-    let mut sim = SimConfig::new()
-        .observer(RingTracer::new(64))
-        .build(&n, &lib);
+    let mut sim = SimConfig::new().build(&n, &lib);
+    sim.attach_observer(RingTracer::new(64));
     sim.inject("set1", &[0.0])?;
     sim.inject("in", &[200.0, 400.0, 600.0, 800.0])?;
     sim.run_to_completion()?;

@@ -6,6 +6,7 @@ use sushi_snn::data::{synth_digits, synth_fashion};
 use sushi_snn::metrics::consistency;
 use sushi_snn::train::{TrainConfig, Trainer};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
+use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 
 fn quick_cfg() -> TrainConfig {
     let mut cfg = TrainConfig::tiny_binary();
@@ -79,6 +80,62 @@ fn bit_slicing_preserves_every_step_output() {
                 program.net.step_scalar(f),
                 "sample {i}"
             );
+        }
+    }
+}
+
+/// The scalar oracle, the per-image packed engine and the bitplane batch
+/// engine agree image by image on a trained, compiled network. Its
+/// thresholds are folded from trained weights (13 to 22 on the hidden
+/// layer), above the small thresholds of the random-network oracles.
+/// 130 images fill two 64-lane bitplane groups and leave a partial third.
+#[test]
+fn trained_network_predicts_alike_on_every_engine() {
+    let data = synth_digits(200, 2);
+    let model = Trainer::new(quick_cfg()).fit(&data);
+    let program = Compiler::new(CompilerConfig::paper()).compile(&model);
+    let net = &program.net;
+    let packed = PackedSnn::from_network(net);
+    let frames: Vec<Vec<Vec<bool>>> = data
+        .images
+        .iter()
+        .take(130)
+        .enumerate()
+        .map(|(i, img)| program.encode_input(img, i as u64))
+        .collect();
+    let requests: Vec<PackedFrames> = frames
+        .iter()
+        .map(|f| PackedFrames::from_bool_frames(packed.input_width(), f))
+        .collect();
+    let scalar: Vec<usize> = frames.iter().map(|f| net.predict_scalar(f)).collect();
+    for (i, f) in frames.iter().enumerate() {
+        assert_eq!(
+            packed.forward_counts(f),
+            net.forward_counts_scalar(f),
+            "counts, image {i}"
+        );
+    }
+    for (engine, preds) in [
+        (
+            "packed, 1 worker",
+            packed.predict_batch_packed(&requests, 1),
+        ),
+        (
+            "packed, 3 workers",
+            packed.predict_batch_packed(&requests, 3),
+        ),
+        (
+            "bitplane, 1 worker",
+            packed.predict_batch_bitplane_packed(&requests, 1),
+        ),
+        (
+            "bitplane, 2 workers",
+            packed.predict_batch_bitplane_packed(&requests, 2),
+        ),
+    ] {
+        assert_eq!(preds.len(), scalar.len(), "{engine}");
+        for (i, (got, want)) in preds.iter().zip(&scalar).enumerate() {
+            assert_eq!(got, want, "{engine}, image {i}");
         }
     }
 }

@@ -6,6 +6,7 @@ use sushi_cells::{CellKind, CellLibrary, PortName};
 use sushi_core::{CellAccurateChip, SushiChip};
 use sushi_sim::{
     ActivityProfiler, BatchRunner, EvalOptions, Json, Netlist, SimConfig, StimulusBuilder,
+    HOT_CELLS,
 };
 use sushi_snn::data::synth_digits;
 use sushi_snn::train::{TrainConfig, Trainer};
@@ -38,7 +39,7 @@ fn divider() -> (Netlist, CellLibrary, Vec<sushi_sim::Stimulus>) {
 fn batch_report_json_is_consistent_with_outcomes() {
     let (n, lib, items) = divider();
     let runner = BatchRunner::new(&n, &lib).with_workers(3);
-    let (outcomes, report) = runner.run_with_report(&items, 2).unwrap();
+    let (outcomes, report) = runner.run_with_report(&items).unwrap();
     assert_eq!(outcomes.len(), 6);
     assert_eq!(report.items, 6);
     let delivered: u64 = outcomes.iter().map(|o| o.stats.events_delivered).sum();
@@ -94,25 +95,24 @@ fn cell_accurate_report_names_real_cells() {
     let jobs: Vec<(std::ops::Range<usize>, Vec<bool>)> =
         (0..3).map(|_| (0..2usize, vec![true, true])).collect();
     let run = chip
-        .run_column_blocks(&layer, &jobs, &EvalOptions::new().report(true).hot_top_n(5))
+        .run_column_blocks(&layer, &jobs, &EvalOptions::new().report(true))
         .unwrap();
     let report = run.report.expect("report requested");
     assert_eq!(run.results.len(), 3);
-    assert_eq!(report.hot_cells.len(), 5);
+    assert_eq!(report.hot_cells.len(), HOT_CELLS);
     for hot in &report.hot_cells {
         assert!(!hot.label.is_empty());
         assert!(hot.deliveries > 0);
     }
 }
 
-/// An observer attached through SimConfig sees exactly the traffic the
-/// run's own statistics record.
+/// An observer attached to a built simulator sees exactly the traffic
+/// the run's own statistics record.
 #[test]
-fn sim_config_observer_matches_run_stats() {
+fn attached_observer_matches_run_stats() {
     let (n, lib, items) = divider();
-    let mut sim = SimConfig::new()
-        .observer(ActivityProfiler::new())
-        .build(&n, &lib);
+    let mut sim = SimConfig::new().build(&n, &lib);
+    sim.attach_observer(ActivityProfiler::new());
     items[5].inject_into(&mut sim).unwrap();
     sim.run_to_completion().unwrap();
     let delivered = sim.stats().events_delivered;
