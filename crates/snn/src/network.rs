@@ -157,6 +157,12 @@ impl TrainScratch {
         }
     }
 
+    /// Splits later passes over `workers` workers, as
+    /// [`TrainScratch::with_workers`] does, keeping every buffer.
+    pub(crate) fn set_workers(&mut self, workers: usize) {
+        self.workers = workers;
+    }
+
     /// The record of the last [`SnnMlp::forward_record_with`] pass.
     pub fn record(&self) -> &ForwardRecord {
         &self.record

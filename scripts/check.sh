@@ -125,8 +125,21 @@ echo "==> perfbench build + tests (its own workspace)"
 # The benchmark depends on the crates' public API by path; build and
 # test it here so an API change it relies on fails the gate, not the
 # benchmark run.
+# An offline build rewrites perfbench/Cargo.lock whenever the workspace's
+# dependency graph has moved since the lock was written. The lock belongs
+# to the benchmark, so the gate leaves it as it found it, also when the
+# build or the tests fail.
+lock_copy="$(mktemp)"
+cp perfbench/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" perfbench/Cargo.lock; rm -f "$lock_copy"' EXIT
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
+if ! cmp -s "$lock_copy" perfbench/Cargo.lock; then
+  echo "note: perfbench/Cargo.lock is stale (the offline build rewrote it); restored, it stays so until the next benchmark change"
+fi
+cp "$lock_copy" perfbench/Cargo.lock
+rm -f "$lock_copy"
+trap - EXIT
 
 echo "==> criterion + serve bench smoke (scripts/bench.sh --smoke)"
 # Also covers BENCH_serve.json assembly: the smoke run executes the
